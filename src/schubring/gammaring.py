@@ -8,15 +8,18 @@ rewritten confluently using the defining quadratic relations
     c_p^2 + 2 sum_{i=1}^p (-1)^i c_{p+i} c_{p-i} = 0,
     b_p^2 + 2 sum_{i=1}^{p-1} (-1)^i b_{p+i} b_{p-i} + (-1)^p b_{2p} = 0,
 
-so equality of elements is equality of term dictionaries.  An independent
-faithful model (Schur Q-functions in finitely many variables) is provided for
-cross-checking the rewriting.
+so equality of elements is equality of term dictionaries.  The rewriting is
+cross-checked against an independent model that is faithful in every degree:
+Gamma (x) Q = Q[p_1, p_3, p_5, ...], with c_p sent to the Schur Q-function
+q_p written in odd power sums (Macdonald, Symmetric Functions and Hall
+Polynomials, III.8).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .polyring import (
     D_ONE,
@@ -27,7 +30,6 @@ from .polyring import (
     _trim,
     complete_sym,
     elem_sym,
-    schur_q_generator,
 )
 
 
@@ -127,12 +129,8 @@ class GammaElement:
 
     @staticmethod
     def from_poly(poly: SparsePoly, family: str = "c") -> "GammaElement":
-        """Embed a z-free SparsePoly."""
-        t = {}
-        for (xk, yk, zk), c in poly.terms.items():
-            assert not zk, "cannot embed oracle variables"
-            t[((), xk, yk)] = c
-        return GammaElement(family, t)
+        """Embed a plain polynomial in x and y."""
+        return GammaElement(family, {((), xk, yk): c for (xk, yk), c in poly.terms.items()})
 
     @staticmethod
     def monomial(xk=(), yk=(), family: str = "c") -> "GammaElement":
@@ -213,21 +211,10 @@ class GammaElement:
             (sum(s) + sum(x) + sum(y) for s, x, y in self.terms), default=0
         )
 
-    def graded_piece(self, d: int) -> "GammaElement":
-        return GammaElement(
-            self.family,
-            {k: c for k, c in self.terms.items() if sum(k[0]) + sum(k[1]) + sum(k[2]) == d},
-        )
-
     def coeff(self, subs=(), xk=(), yk=()) -> Dyadic:
         return self.terms.get(
             (tuple(subs), _trim(tuple(xk)), _trim(tuple(yk))), D_ZERO
         )
-
-    def constant_term(self) -> Dyadic:
-        """chi(f): kill the generators and the x variables (f must be y-free)."""
-        assert self.max_yvar() == 0, "constant term only for y-free elements"
-        return self.terms.get(((), (), ()), D_ZERO)
 
     def max_xvar(self) -> int:
         return max((len(x) for _, x, _ in self.terms), default=0)
@@ -415,22 +402,6 @@ def weyl_act(w, f: GammaElement) -> GammaElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CEntrySpec:
-    """Descriptor of an indexed generator entry.
-
-    k, kprime are the front and back indices, p the subscript; hatted entries
-    (family 'b') carry a correction term controlled by fsign in {+1, -1, 0}:
-    the sign of the e_k(X) e_{p-k}(-Y) correction (0 means no correction).
-    """
-
-    k: int
-    kprime: int
-    p: int
-    hatted: bool = False
-    fsign: int = 0
-
-
 @lru_cache(maxsize=None)
 def c_entry(k: int, kprime: int, p: int, family: str = "c") -> GammaElement:
     """{}^k c^{k'}_p = sum_{i,j} c_{p-j-i} h^{-k}_i(X) h^{k'}_j(-Y).
@@ -479,14 +450,6 @@ def c_hat_entry(k: int, kprime: int, p: int, fsign: int, family: str = "b") -> G
     if kprime == k - p and kprime <= 0 and p >= 0:
         base = base + _hat_correction(k, p - k, fsign, family)
     return base
-
-
-def entry_from_spec(spec: CEntrySpec, family: str) -> GammaElement:
-    if spec.hatted:
-        if spec.fsign == 0 and spec.kprime == spec.k - spec.p and spec.kprime < 0:
-            raise ValueError("hatted entry requires a resolved f-choice sign")
-        return c_hat_entry(spec.k, spec.kprime, spec.p, spec.fsign, family)
-    return c_entry(spec.k, spec.kprime, spec.p, family)
 
 
 # ---------------------------------------------------------------------------
@@ -560,49 +523,59 @@ def c_to_b(f: GammaElement) -> GammaElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleElement:
-    """Image of a ring element in the Schur Q-function model on Z_N."""
+def _odd_partitions(p: int, top: int):
+    """Partitions of p into odd parts <= top, in decreasing order."""
+    if p == 0:
+        yield ()
+        return
+    for a in range(min(p, top), 0, -1):
+        if a % 2:
+            for rest in _odd_partitions(p - a, a):
+                yield (a,) + rest
 
-    poly: SparsePoly
-    nvars: int
+
+def _q_in_power_sums(p: int) -> dict:
+    """q_p = sum over odd partitions lam of p of 2^len(lam) p_lam / z_lam."""
+    out = {}
+    for lam in _odd_partitions(p, p):
+        z = 1
+        for part in set(lam):
+            m = lam.count(part)
+            z *= part**m * factorial(m)
+        out[lam] = Fraction(2 ** len(lam), z)
+    return out
 
 
-def oracle_embed(f: GammaElement, nvars: int | None = None) -> OracleElement:
-    """Faithful model: c_p -> q_p(Z_N), b_p -> q_p(Z_N)/2, x and y unchanged.
+def oracle_embed(f: GammaElement) -> dict:
+    """The image of f in the power-sum model (see oracle_raw_embed)."""
+    return oracle_raw_embed(f.family, [(s, x, y, c) for (s, x, y), c in f.terms.items()])
 
-    Faithful on the graded piece of generator-degree <= N, so N defaults to
-    the total generator degree plus one.
+
+def oracle_raw_embed(family: str, raw_terms) -> dict:
+    """Embed a raw (un-normalized) list of (subscripts, x-exps, y-exps, coeff)
+    term by term: c_p -> q_p, b_p -> q_p / 2, x and y unchanged.
+
+    The image is {(lam, xk, yk): Fraction} with lam a decreasing tuple of odd
+    power-sum indices.  The model is faithful in every degree and applies no
+    relation, so it checks the rewriting independently.
     """
-    gdeg = max((sum(s) for s, _, _ in f.terms), default=0)
-    if nvars is None:
-        nvars = gdeg + 1
-    if nvars < gdeg:
-        raise ValueError(f"oracle with {nvars} variables is unfaithful at degree {gdeg}")
-    out = SparsePoly.zero()
-    for (subs, xk, yk), c in f.terms.items():
-        piece = SparsePoly({(xk, yk, ()): c})
-        for p in subs:
-            q = schur_q_generator(p, nvars)
-            piece = piece * (q.half() if f.family == "b" else q)
-        out = out + piece
-    return OracleElement(out, nvars)
-
-
-def oracle_raw_embed(family: str, raw_terms, nvars: int) -> OracleElement:
-    """Embed a raw (un-normalized) expression term by term, bypassing the
-    rewriting; used to cross-check normalization."""
-    out = SparsePoly.zero()
+    scale = Fraction(1, 2) if family == "b" else Fraction(1)
+    out: dict = {}
     for subs, xk, yk, coeff in raw_terms:
-        coeff = Dyadic(coeff) if isinstance(coeff, int) else coeff
-        piece = SparsePoly({(_trim(tuple(xk)), _trim(tuple(yk)), ()): coeff})
+        if any(p < 0 for p in subs):
+            continue
+        piece = {(): coeff.as_fraction() if isinstance(coeff, Dyadic) else Fraction(coeff)}
         for p in subs:
-            if p < 0:
-                piece = SparsePoly.zero()
-                break
             if p == 0:
                 continue
-            q = schur_q_generator(p, nvars)
-            piece = piece * (q.half() if family == "b" else q)
-        out = out + piece
-    return OracleElement(out, nvars)
+            q = _q_in_power_sums(p)
+            prod: dict = {}
+            for lam, a in piece.items():
+                for mu, b in q.items():
+                    k = tuple(sorted(lam + mu, reverse=True))
+                    prod[k] = prod.get(k, 0) + a * b * scale
+            piece = prod
+        xk, yk = _trim(tuple(xk)), _trim(tuple(yk))
+        for lam, c in piece.items():
+            out[(lam, xk, yk)] = out.get((lam, xk, yk), 0) + c
+    return {k: c for k, c in out.items() if c}

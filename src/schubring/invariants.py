@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .polyring import D_ONE, elem_sym, supersym_e
 from .gammaring import (
@@ -102,12 +103,6 @@ class GradedPiece:
 
     def rank(self) -> int:
         return exact_rank(self.vectors)
-
-    def add(self, f: GammaElement):
-        self.vectors.append(to_vector(f, self.basis))
-
-    def contains(self, f: GammaElement) -> bool:
-        return in_span(self.vectors, to_vector(f, self.basis))
 
     def equals_span(self, other: "GradedPiece") -> bool:
         assert self.basis == other.basis
@@ -378,15 +373,11 @@ def _module_basis_elements(n: int, flavor: str) -> list[tuple[int, GammaElement]
     return out
 
 
-def _invariant_ring_basis(n: int, d: int, flavor: str) -> list[GammaElement]:
-    return _theta_family(n, d, flavor)
-
-
 def free_module_certificate(n: int, flavor: str = "BC", max_d: int = 6) -> dict:
     """Degree-by-degree check that the staircase basis is free and spanning
     over the invariant subring."""
     mod_basis = _module_basis_elements(n, flavor)
-    expected = (2**n if flavor == "BC" else 2 ** (n - 1)) * _factorial(n)
+    expected = (2**n if flavor == "BC" else 2 ** (n - 1)) * factorial(n)
     report = {"cardinality": len(mod_basis), "expected": expected, "degrees": {}}
     for d in range(max_d + 1):
         basis = monomial_basis(n, d, with_y=False)
@@ -395,7 +386,7 @@ def free_module_certificate(n: int, flavor: str = "BC", max_d: int = 6) -> dict:
         for gdeg, g in mod_basis:
             if gdeg > d:
                 continue
-            for inv in _invariant_ring_basis(n, d - gdeg, flavor):
+            for inv in _theta_family(n, d - gdeg, flavor):
                 vecs.append(to_vector(inv * g, basis))
                 count += 1
         rank = exact_rank(vecs)
@@ -409,13 +400,6 @@ def free_module_certificate(n: int, flavor: str = "BC", max_d: int = 6) -> dict:
         v["ok"] for v in report["degrees"].values()
     )
     return report
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def dual_basis_orthogonality(n: int, flavor: str = "BC") -> dict:

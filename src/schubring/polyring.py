@@ -1,7 +1,6 @@
 """Exact sparse polynomial arithmetic over dyadic rationals.
 
-Variables come in three blocks: x_1, x_2, ... and y_1, y_2, ... and an
-auxiliary alphabet z_1, z_2, ... (used by the symmetric-function oracle).
+Variables come in two blocks: x_1, x_2, ... and y_1, y_2, ...
 Coefficients are dyadic rationals n / 2^e, kept in canonical form so that
 equality of polynomials is equality of term dictionaries.  There is no
 floating point anywhere.
@@ -109,7 +108,7 @@ def _madd(a: tuple, b: tuple) -> tuple:
 
 
 class SparsePoly:
-    """Polynomial in x/y/z with Dyadic coefficients, as {(xk, yk, zk): coeff}.
+    """Polynomial in x/y with Dyadic coefficients, as {(xk, yk): coeff}.
 
     Instances are treated as immutable; all arithmetic returns new objects.
     """
@@ -131,13 +130,13 @@ class SparsePoly:
             c = Dyadic(c)
         if not c:
             return SparsePoly({})
-        return SparsePoly({((), (), ()): c})
+        return SparsePoly({((), ()): c})
 
     @staticmethod
     def var(block: str, i: int) -> "SparsePoly":
-        """The variable x_i, y_i or z_i (block in 'xyz', i >= 1)."""
+        """The variable x_i or y_i (block in 'xy', i >= 1)."""
         e = (0,) * (i - 1) + (1,)
-        key = {"x": (e, (), ()), "y": ((), e, ()), "z": ((), (), e)}[block]
+        key = {"x": (e, ()), "y": ((), e)}[block]
         return SparsePoly({key: D_ONE})
 
     # -- ring operations ---------------------------------------------------
@@ -166,9 +165,9 @@ class SparsePoly:
                 return SparsePoly({})
             return SparsePoly({k: v * c for k, v in self.terms.items()})
         t: dict = {}
-        for (x1, y1, z1), c1 in self.terms.items():
-            for (x2, y2, z2), c2 in other.terms.items():
-                k = (_madd(x1, x2), _madd(y1, y2), _madd(z1, z2))
+        for (x1, y1), c1 in self.terms.items():
+            for (x2, y2), c2 in other.terms.items():
+                k = (_madd(x1, x2), _madd(y1, y2))
                 c = c1 * c2
                 s = t.get(k)
                 s = c if s is None else s + c
@@ -199,26 +198,26 @@ class SparsePoly:
     # -- inspection --------------------------------------------------------
 
     def degree(self) -> int:
-        return max((sum(x) + sum(y) + sum(z) for x, y, z in self.terms), default=0)
+        return max((sum(x) + sum(y) for x, y in self.terms), default=0)
 
-    def coeff(self, xk=(), yk=(), zk=()) -> Dyadic:
-        return self.terms.get((_trim(tuple(xk)), _trim(tuple(yk)), _trim(tuple(zk))), D_ZERO)
+    def coeff(self, xk=(), yk=()) -> Dyadic:
+        return self.terms.get((_trim(tuple(xk)), _trim(tuple(yk))), D_ZERO)
 
     def sorted_terms(self) -> list:
-        """Terms in graded-lex order (degree, then x-key, y-key, z-key)."""
+        """Terms in graded-lex order (degree, then x-key, y-key)."""
         return sorted(
             self.terms.items(),
-            key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]) + sum(kv[0][2]), kv[0]),
+            key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0]),
         )
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for (xk, yk, zk), c in self.sorted_terms():
+        for (xk, yk), c in self.sorted_terms():
             mono = "".join(
                 f"{name}{i+1}^{e}" if e != 1 else f"{name}{i+1}"
-                for name, key in (("x", xk), ("y", yk), ("z", zk))
+                for name, key in (("x", xk), ("y", yk))
                 for i, e in enumerate(key)
                 if e
             )
@@ -231,7 +230,7 @@ class SparsePoly:
 def _alphabet_vars(alphabet: str, r: int) -> tuple[list[SparsePoly], int]:
     """First r variables of the named alphabet, with its sign.
 
-    'x' -> x_i, 'y' -> y_i, '-y' -> -y_i, 'z' -> z_i.
+    'x' -> x_i, 'y' -> y_i, '-y' -> -y_i.
     """
     sign = -1 if alphabet.startswith("-") else 1
     block = alphabet.lstrip("-")
@@ -290,37 +289,6 @@ def supersym_e(p: int, n: int) -> SparsePoly:
             continue
         out = out + ei * complete_sym(n, p - i, "-y")
     return out
-
-
-def schur_q_generator(p: int, nvars: int) -> SparsePoly:
-    """q_p(z_1..z_N), defined by prod_i (1+z_i t)/(1-z_i t) = sum_p q_p t^p."""
-    return _q_series(nvars, p)[p]
-
-
-def _q_series(nvars: int, maxdeg: int) -> list[SparsePoly]:
-    key = (nvars, maxdeg)
-    cached = _Q_CACHE.get(key)
-    if cached is not None:
-        return cached
-    # (1+zt)/(1-zt) = 1 + 2 sum_{k>=1} z^k t^k; multiply one variable at a time
-    series = [SparsePoly.const(1)] + [SparsePoly.zero()] * maxdeg
-    for i in range(1, nvars + 1):
-        z = SparsePoly.var("z", i)
-        zpow = [SparsePoly.const(1)]
-        for _ in range(maxdeg):
-            zpow.append(zpow[-1] * z)
-        new = []
-        for d in range(maxdeg + 1):
-            acc = series[d]
-            for k in range(1, d + 1):
-                acc = acc + series[d - k] * zpow[k] * 2
-            new.append(acc)
-        series = new
-    _Q_CACHE[key] = series
-    return series
-
-
-_Q_CACHE: dict = {}
 
 
 class TruncatedSeries:

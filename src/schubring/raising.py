@@ -427,7 +427,7 @@ def gamma_to_poly(f: GammaElement) -> SparsePoly:
     out = {}
     for (subs, xk, yk), c in f.terms.items():
         assert not subs, "element has generator content"
-        out[(xk, yk, ())] = c
+        out[(xk, yk)] = c
     return SparsePoly(out)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,7 +43,8 @@ def _divide_by_x1(g: GammaElement, factor: int) -> GammaElement:
     """Exact division by factor * x_1 (used for the sign-change operator)."""
     out = {}
     for (subs, xk, yk), c in g.terms.items():
-        assert xk and xk[0] >= 1, "numerator not divisible by x_1"
+        if not xk or xk[0] < 1:
+            raise ArithmeticError("numerator not divisible by x_1")
         nx = (xk[0] - 1,) + xk[1:]
         while nx and nx[-1] == 0:
             nx = nx[:-1]
@@ -55,7 +55,7 @@ def _divide_by_x1(g: GammaElement, factor: int) -> GammaElement:
 def _divide_uv(g: GammaElement, i: int, plus: bool) -> GammaElement:
     """Exact division by (x_i - x_{i+1}) or, with plus=True, by (x_i + x_{i+1}).
 
-    Synthetic division in x_i; the remainder must vanish, which is asserted.
+    Synthetic division in x_i; a nonzero remainder raises ArithmeticError.
     """
     buckets: dict[int, dict] = {}
     for (subs, xk, yk), c in g.terms.items():
@@ -91,8 +91,8 @@ def _divide_uv(g: GammaElement, i: int, plus: bool) -> GammaElement:
             k2 = (subs, tuple(r2), yk)
             dst = buckets.setdefault(a - 1, {})
             dst[k2] = dst.get(k2, D_ONE * 0) + c * carry_sign
-    for k, c in buckets.get(0, {}).items():
-        assert not c, "division left a nonzero remainder"
+    if any(buckets.get(0, {}).values()):
+        raise ArithmeticError("division left a nonzero remainder")
     return GammaElement(g.family, out)
 
 
@@ -194,28 +194,26 @@ class CachedTable:
     def __init__(self):
         self.values: dict = {}
         self.provenance: dict = {}
-        self.lock = threading.Lock()
 
     def lookup(self, key):
         return self.values.get(key)
 
     def store(self, key, value: GammaElement, how: str):
-        with self.lock:
-            old = self.values.get(key)
-            if old is not None:
-                if old != value:
-                    raise ArithmeticError(
-                        f"provenance disagreement at {key}: {how} vs {self.provenance[key]}"
-                    )
-                self.provenance[key] |= {how}
-            else:
-                disk = _disk_load(key)
-                if disk is not None and disk != value:
-                    raise ArithmeticError(f"disk cache disagreement at {key}")
-                self.values[key] = value
-                self.provenance[key] = {how}
-                if disk is None:
-                    _disk_store(key, value)
+        old = self.values.get(key)
+        if old is not None:
+            if old != value:
+                raise ArithmeticError(
+                    f"provenance disagreement at {key}: {how} vs {self.provenance[key]}"
+                )
+            self.provenance[key] |= {how}
+        else:
+            disk = _disk_load(key)
+            if disk is not None and disk != value:
+                raise ArithmeticError(f"disk cache disagreement at {key}")
+            self.values[key] = value
+            self.provenance[key] = {how}
+            if disk is None:
+                _disk_store(key, value)
         return value
 
 
@@ -232,18 +230,23 @@ def _disk_key(key) -> str:
 
 
 def _disk_load(key):
+    """The stored value, or None when the entry is missing, unreadable or
+    truncated (the caller then recomputes and rewrites it)."""
     d = _cache_dir()
     if not d:
         return None
-    path = os.path.join(d, _disk_key(key) + ".json")
-    if not os.path.exists(path):
-        return None
     from .serialize import document_to_gamma, parse_document
 
-    with open(path) as fh:
-        return document_to_gamma(parse_document(fh.read()))
+    try:
+        with open(os.path.join(d, _disk_key(key) + ".json")) as fh:
+            return document_to_gamma(parse_document(fh.read()))
+    except (OSError, ValueError):
+        return None
+
 
 def _disk_store(key, value: GammaElement):
+    """Write the entry to a temporary file and rename it into place, so a
+    reader never sees a partial entry."""
     d = _cache_dir()
     if not d:
         return
@@ -251,8 +254,10 @@ def _disk_store(key, value: GammaElement):
     from .serialize import gamma_to_document, render_document
 
     path = os.path.join(d, _disk_key(key) + ".json")
-    with open(path, "w") as fh:
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w") as fh:
         fh.write(render_document(gamma_to_document(value, metadata={"key": list(key)})))
+    os.replace(tmp, path)
 
 
 def schubert_transition(w: SignedPermutation, flavor: str | None = None) -> GammaElement:
@@ -267,7 +272,6 @@ def schubert_transition(w: SignedPermutation, flavor: str | None = None) -> Gamm
     return _TABLE.store(key, val, "transition")
 
 
-@lru_cache(maxsize=None)
 def _transition_value(flavor: str, window: tuple) -> GammaElement:
     w = SignedPermutation(window, flavor)
     family = "c" if flavor == "BC" else "b"

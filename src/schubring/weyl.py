@@ -33,12 +33,14 @@ class SignedPermutation:
     def __post_init__(self):
         w = _trim_window(tuple(self.window))
         object.__setattr__(self, "window", w)
-        assert self.flavor in ("A", "BC", "D")
-        assert sorted(abs(a) for a in w) == list(range(1, len(w) + 1)), f"bad window {w}"
-        if self.flavor == "A":
-            assert all(a > 0 for a in w), "type A windows have no barred entries"
-        if self.flavor == "D":
-            assert sum(1 for a in w if a < 0) % 2 == 0, "type D needs evenly many bars"
+        if self.flavor not in ("A", "BC", "D"):
+            raise ValueError(f"unknown flavor {self.flavor!r}")
+        if sorted(abs(a) for a in w) != list(range(1, len(w) + 1)):
+            raise ValueError(f"bad window {w}")
+        if self.flavor == "A" and any(a < 0 for a in w):
+            raise ValueError("type A windows have no barred entries")
+        if self.flavor == "D" and sum(1 for a in w if a < 0) % 2:
+            raise ValueError("type D needs evenly many bars")
 
     # -- basic structure ---------------------------------------------------
 
@@ -50,10 +52,6 @@ class SignedPermutation:
             return i
         return self.window[i - 1]
 
-    def entry(self, i: int) -> int:
-        """w_i, valid for any i >= 1."""
-        return self(i)
-
     @property
     def support(self) -> int:
         return len(self.window)
@@ -64,16 +62,6 @@ class SignedPermutation:
     @staticmethod
     def identity(flavor: str = "BC") -> "SignedPermutation":
         return SignedPermutation((), flavor)
-
-    @staticmethod
-    def from_text(text: str, flavor: str = "BC") -> "SignedPermutation":
-        """Parse window notation like "[-3,2,-7,-1,5,4,-6]"."""
-        inner = text.strip().strip("[]").strip()
-        window = tuple(int(p) for p in inner.split(",") if p.strip()) if inner else ()
-        return SignedPermutation(window, flavor)
-
-    def to_text(self) -> str:
-        return "[" + ",".join(str(a) for a in self.window) + "]"
 
     def with_flavor(self, flavor: str) -> "SignedPermutation":
         return SignedPermutation(self.window, flavor)
@@ -110,16 +98,6 @@ class SignedPermutation:
         return inv + sum(-a - 1 for a in w if a < 0)
 
     # -- generators and descents -------------------------------------------
-
-    def gen(self, i: int) -> "SignedPermutation":
-        """The simple reflection s_i as an element (i = 0 is s_0 resp. s_box)."""
-        if i == 0:
-            if self.flavor == "BC":
-                return SignedPermutation((-1,), "BC")
-            if self.flavor == "D":
-                return SignedPermutation((-2, -1), "D")
-            raise ValueError("type A has no generator of index 0")
-        return SignedPermutation(tuple(range(1, i)) + (i + 1, i), self.flavor)
 
     def right_mul_gen(self, i: int) -> "SignedPermutation":
         """w * s_i in window notation."""
@@ -362,16 +340,17 @@ class TypedPartition:
 
     def __post_init__(self):
         p = self.parts
-        assert all(p[i] >= p[i + 1] > 0 for i in range(len(p) - 1)) and all(
-            q > 0 for q in p
-        )
+        if any(p[i] < p[i + 1] for i in range(len(p) - 1)) or any(q <= 0 for q in p):
+            raise ValueError(f"{p} is not a partition")
         big = [q for q in p if q > self.n]
-        assert len(big) == len(set(big)), "parts above n must be distinct"
-        assert self.ptype in (0, 1, 2)
-        if self.ptype == 0:
-            assert self.n not in p, "a part equal to n forces a nonzero type"
-        else:
-            assert self.n in p, "nonzero type requires a part equal to n"
+        if len(big) != len(set(big)):
+            raise ValueError("parts above n must be distinct")
+        if self.ptype not in (0, 1, 2):
+            raise ValueError(f"unknown type {self.ptype}")
+        if self.ptype == 0 and self.n in p:
+            raise ValueError("a part equal to n forces a nonzero type")
+        if self.ptype != 0 and self.n not in p:
+            raise ValueError("nonzero type requires a part equal to n")
 
 
 def is_n_strict(lam: tuple[int, ...], n: int) -> bool:

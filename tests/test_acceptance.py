@@ -206,7 +206,7 @@ def test_criterion_09_invariance():
                 acc = acc + level_c(n, p + i, "c") * level_c(n, p - i, "c") * (2 * (-1) ** i)
             esq = elem_sym(n, p, "x")
             esq = SparsePoly(
-                {(tuple(2 * e for e in xk), yk, zk): c for (xk, yk, zk), c in esq.terms.items()}
+                {(tuple(2 * e for e in xk), yk): c for (xk, yk), c in esq.terms.items()}
             )
             assert acc == GammaElement.from_poly(esq), (n, p)
         if n >= 1:
@@ -230,8 +230,7 @@ def test_criterion_10_ring_integrity():
             raw.append((subs, xk, yk, rng.randint(-4, 4)))
         f = GammaElement.from_raw(fam, raw)
         assert f.degree() <= 8
-        N = max((sum(t[0]) for t in raw), default=0) + 1
-        assert oracle_embed(f, N).poly == oracle_raw_embed(fam, raw, N).poly, (trial, raw)
+        assert oracle_embed(f) == oracle_raw_embed(fam, raw), (trial, raw)
     # generating identities to degree 6 at n <= 3
     from schubring.polyring import TruncatedSeries
 

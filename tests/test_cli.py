@@ -153,5 +153,38 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     assert any(p.suffix == ".json" for p in tmp_path.iterdir())
     # a second (cold) table reads the same value back from disk
     monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
-    sch._transition_value.cache_clear()
     assert sch.schubert_transition(w) == val
+
+
+def test_disk_cache_truncated_entry_is_a_miss(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
+    from schubring import schubert as sch
+
+    args = ("compute", "--lie-type", "C", "--w", "[2,-1]", "--double")
+    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
+    code, first, _ = run_cli(*args, capsys=capsys)
+    assert code == 0
+    entry = tmp_path / (sch._disk_key(("BC", (2, -1), "double")) + ".json")
+    good = entry.read_text()
+    entry.write_text(good[: len(good) // 2])
+    # a cold table meets the truncated entry, recomputes and rewrites it
+    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
+    code, again, _ = run_cli(*args, capsys=capsys)
+    assert code == 0
+    assert again == first
+    assert entry.read_text() == good
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("window", ["[2,2]", "[-1,3]", "[0,1]"])
+def test_window_validation_survives_optimize(window):
+    import schubring
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(schubring.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "schubring.cli", "compute", "--lie-type", "D", "--w", window],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, (proc.stdout, proc.stderr)
+    assert proc.stdout == ""

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,23 +70,33 @@ def test_family_mixing_rejected():
 
 
 def test_oracle_embedding_basics():
-    # c_1 maps to q_1 = 2 e_1(Z)
-    q1 = oracle_embed(g(1), 3).poly
-    assert q1 == elem_sym(3, 1, "z") * 2
-    f = g(1) * g(1)
-    assert oracle_embed(f, 4).poly == oracle_embed(g(1), 4).poly * oracle_embed(g(1), 4).poly
-    with pytest.raises(ValueError):
-        oracle_embed(g(3) * g(2), 2)
+    # c_1 -> q_1 = 2 p_1, c_3 -> q_3 = 4/3 p_1^3 + 2/3 p_3, b_p -> q_p / 2
+    assert oracle_embed(g(1)) == {((1,), (), ()): Fraction(2)}
+    assert oracle_embed(g(3)) == {
+        ((1, 1, 1), (), ()): Fraction(4, 3),
+        ((3,), (), ()): Fraction(2, 3),
+    }
+    assert oracle_embed(g(1, "b")) == {((1,), (), ()): Fraction(1)}
+    # x and y pass through; the image of a product is the product of images
+    xy = GammaElement.monomial(xk=(0, 2), yk=(1,))
+    assert oracle_embed(xy) == {((), (0, 2), (1,)): Fraction(1)}
+    assert oracle_embed(g(1) * g(1) * xy) == oracle_raw_embed("c", [([1, 1], (0, 2), (1,), 1)])
+    assert oracle_embed(g(1) * g(1)) == {((1, 1), (), ()): Fraction(4)}
 
 
 def test_oracle_relations_vanish():
-    for p in (1, 2, 3):
-        # the b-relation maps to zero in the model
-        rel = [( [p, p], (), (), 1 )]
+    for p in range(1, 6):
+        # the c-relation c_p^2 + 2 sum_{i=1}^p (-1)^i c_{p+i} c_{p-i}
+        rel = [([p, p], (), (), 1)]
+        for i in range(1, p + 1):
+            rel.append(([p + i, p - i], (), (), 2 * (-1) ** i))
+        assert oracle_raw_embed("c", rel) == {}, p
+        # the b-relation b_p^2 + 2 sum_{i<p} (-1)^i b_{p+i} b_{p-i} + (-1)^p b_{2p}
+        rel = [([p, p], (), (), 1)]
         for i in range(1, p):
             rel.append(([p + i, p - i], (), (), 2 * (-1) ** i))
         rel.append(([2 * p], (), (), (-1) ** p))
-        assert not oracle_raw_embed("b", rel, 6).poly.terms
+        assert oracle_raw_embed("b", rel) == {}, p
 
 
 def test_oracle_matches_normalization():
@@ -94,29 +105,36 @@ def test_oracle_matches_normalization():
         for _ in range(20):
             raw = rand_raw(rng)
             f = GammaElement.from_raw(fam, raw)
-            n = max((sum(s) for s, _, _ in f.terms), default=0) + 1
-            assert oracle_embed(f, n).poly == oracle_raw_embed(fam, raw, n).poly
+            assert oracle_embed(f) == oracle_raw_embed(fam, raw)
+
+
+def test_oracle_detects_corrupted_normal_form():
+    # changing any one coefficient of a normal form breaks the agreement
+    rng = random.Random(5)
+    checked = 0
+    for fam in ("c", "b"):
+        for _ in range(10):
+            raw = rand_raw(rng)
+            f = GammaElement.from_raw(fam, raw)
+            expected = oracle_raw_embed(fam, raw)
+            for k, c in f.terms.items():
+                bad = GammaElement(fam, {**f.terms, k: c + Dyadic(1)})
+                assert oracle_embed(bad) != expected, (fam, raw, k)
+                checked += 1
+    assert checked >= 50
 
 
 def test_oracle_injective_on_graded_pieces():
-    # images of the strict monomials of weight <= 5 stay independent at N = 6
+    # images of the strict monomials of each weight <= 8 are independent
     from schubring.invariants import exact_rank, strict_partitions_of
 
-    for d in range(1, 6):
-        images = []
-        keys = set()
-        for lam in strict_partitions_of(d):
-            poly = oracle_embed(GammaElement("c", {(lam, (), ()): Dyadic(1)}), 6).poly
-            keys |= set(poly.terms)
-            images.append(poly)
-        keys = sorted(keys)
-        idx = {k: i for i, k in enumerate(keys)}
-        rows = []
-        for poly in images:
-            row = [__import__("fractions").Fraction(0)] * len(keys)
-            for k, c in poly.terms.items():
-                row[idx[k]] = c.as_fraction()
-            rows.append(row)
+    for d in range(1, 9):
+        images = [
+            oracle_embed(GammaElement("c", {(lam, (), ()): Dyadic(1)}))
+            for lam in strict_partitions_of(d)
+        ]
+        keys = sorted(set().union(*images))
+        rows = [[img.get(k, Fraction(0)) for k in keys] for img in images]
         assert exact_rank(rows) == len(images), d
 
 
@@ -225,7 +243,7 @@ def test_squared_variable_identity():
             for i in range(1, p + 1):
                 acc = acc + level_c(n, p + i, "c") * level_c(n, p - i, "c") * (2 * (-1) ** i)
             esq = elem_sym(n, p, "x")
-            esq = SparsePoly({(tuple(2 * e for e in xk), yk, zk): c for (xk, yk, zk), c in esq.terms.items()})
+            esq = SparsePoly({(tuple(2 * e for e in xk), yk): c for (xk, yk), c in esq.terms.items()})
             assert acc == GammaElement.from_poly(esq), (n, p)
 
 

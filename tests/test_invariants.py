@@ -139,8 +139,8 @@ def test_level_dictionary_and_slices():
     basis = monomial_basis(n, 2, with_y=False)
     e1sq = GammaElement.from_poly(
         elem_sym(n, 1, "x").__class__(
-            {(tuple(2 * e for e in xk), yk, zk): c
-             for (xk, yk, zk), c in elem_sym(n, 1, "x").terms.items()}
+            {(tuple(2 * e for e in xk), yk): c
+             for (xk, yk), c in elem_sym(n, 1, "x").terms.items()}
         )
     )
     e2 = GammaElement.from_poly(elem_sym(n, 2, "x"))

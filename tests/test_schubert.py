@@ -14,6 +14,8 @@ from schubring.gammaring import (
 )
 from schubring.weyl import SignedPermutation, enumerate_group, is_grassmannian
 from schubring.schubert import (
+    _divide_by_x1,
+    _divide_uv,
     alternating_operator,
     divided_difference,
     divided_difference_w,
@@ -58,6 +60,11 @@ def test_divided_difference_basics():
     assert divided_difference(0, g(1)) == GammaElement.const(1)
     # sign-change-invariant inputs divide to zero exactly
     assert not divided_difference(0, x1 * x1)
+    # an inexact division raises instead of dropping the remainder
+    with pytest.raises(ArithmeticError):
+        _divide_uv(x1, 1, plus=False)
+    with pytest.raises(ArithmeticError):
+        _divide_by_x1(GammaElement.monomial(yk=(1,)), 2)
 
 
 def test_divided_difference_front_index_rule():

@@ -56,9 +56,9 @@ def test_window_trimming_and_equality():
 
 
 def test_flavor_invariants():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         S((-1, 2), "A")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         S((-1, 2), "D")  # odd number of bars
     S((-2, -1), "D")
 
