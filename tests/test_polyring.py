@@ -70,6 +70,25 @@ def test_e_h_convolution():
             assert acc == (SparsePoly.const(1) if k == 0 else SparsePoly.zero()), (r, k)
 
 
+def test_schur_q_generator_relation():
+    # q_p^2 + 2 sum_{i=1}^p (-1)^i q_{p+i} q_{p-i} = 0, with q_p(x_1..x_N) the
+    # coefficient of t^p in prod (1 + x_j t) / (1 - x_j t) = E(t) H(t)
+    N = 4
+
+    def q(p):
+        acc = SparsePoly.zero()
+        for k in range(0, p + 1):
+            acc = acc + elem_sym(N, k, "x") * complete_sym(N, p - k, "x")
+        return acc
+
+    assert q(1) == elem_sym(N, 1, "x") * 2
+    for p in (1, 2, 3):
+        acc = q(p) * q(p)
+        for i in range(1, p + 1):
+            acc = acc + q(p + i) * q(p - i) * (2 * (-1) ** i)
+        assert acc == SparsePoly.zero(), p
+
+
 def test_supersym_e_small_values():
     assert supersym_e(0, 2) == SparsePoly.const(1)
     assert supersym_e(-1, 2) == SparsePoly.zero()
