@@ -38,7 +38,7 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
+        return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError as e:
         raise ParseError(str(e))
 
@@ -242,7 +242,7 @@ def _suite_pfaffian_props(bounds):
                 if is_grassmannian(w, n):
                     try:
                         sch.pfaffian_formula(w, n, flavor, check=True)
-                    except AssertionError:
+                    except ArithmeticError:
                         bad.append(w.window)
             yield f"pfaffian-props/{flavor}-m{m}-n{n}", not bad, bad[:3]
     yield "pfaffian-props/D-n1-excluded", True, "degenerate level skipped (see notes)"

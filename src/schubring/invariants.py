@@ -25,7 +25,7 @@ from .gammaring import (
     level_c,
     level_c_double,
 )
-from .weyl import SignedPermutation, _elements_up_to_length, enumerate_group
+from .weyl import SignedPermutation, enumerate_group, quotient_elements
 from . import schubert as sch
 from . import raising
 
@@ -261,14 +261,12 @@ def _theta_family(n: int, d: int, flavor: str) -> list[GammaElement]:
 def schubert_span_vectors(n: int, d: int, flavor: str, basis) -> list:
     """y-monomial multiples of the restricted Schubert polynomials indexed by
     the parabolic quotient minus the finite group, in degree d."""
-    from .weyl import _in_parabolic_quotient
-
     vecs = []
     fam = "c" if flavor == "BC" else "b"
-    for w in _elements_up_to_length(flavor, d):
-        lw = w.length()
-        if lw == 0 or not _in_parabolic_quotient(w, n) or w.support <= n:
+    for w in quotient_elements(flavor, n, d):
+        if w.support <= n:
             continue
+        lw = w.length()
         cs = sch.schubert_restricted(w, n, flavor)
         for ytotal in [d - lw]:
             for yk in compositions(ytotal, n):
@@ -456,16 +454,12 @@ def parabolic_invariants(n: int, aset, flavor: str = "BC", max_length: int = 4) 
     """Descent characterization of parabolic invariance: the restricted
     Schubert polynomial is W_P-invariant iff no generator outside the
     parabolic index set descends it."""
-    from .weyl import _in_parabolic_quotient
-
     aset = set(aset)
     if flavor == "D":
         assert 1 not in aset, "the level-1 node is excluded in type D"
     free = [i for i in gen_indices(n, flavor) if i not in aset]
     failures = []
-    for w in _elements_up_to_length(flavor, max_length):
-        if not _in_parabolic_quotient(w, n):
-            continue
+    for w in quotient_elements(flavor, n, max_length):
         cs = sch.schubert_restricted(w, n, flavor)
         inv = all(act_generator(i, cs) == cs for i in free)
         expected = all(not w.has_descent(i) for i in free)

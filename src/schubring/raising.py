@@ -320,8 +320,10 @@ def theta(n: int, lam, double: bool = False) -> GammaElement:
             return level_c(n, a, "c")
 
     val = expand(jt_expression(ell, pairs), entry, lam)
-    assert val.is_integral(), "theta polynomials are integral"
-    assert val.max_xvar() <= n, "theta polynomials live in the level-n variables"
+    if not val.is_integral():
+        raise ArithmeticError("theta polynomial is not integral")
+    if val.max_xvar() > n:
+        raise ArithmeticError(f"theta polynomial has variables beyond x_{n}")
     return val
 
 
@@ -375,8 +377,10 @@ def eta(n: int, lam, double: bool = False) -> GammaElement:
     )
     if not double:
         val = val.set_y_zero()
-    assert val.is_integral(), "eta polynomials are integral in the b-basis"
-    assert val.max_xvar() <= n, "eta polynomials live in the level-n variables"
+    if not val.is_integral():
+        raise ArithmeticError("eta polynomial is not integral in the b-basis")
+    if val.max_xvar() > n:
+        raise ArithmeticError(f"eta polynomial has variables beyond x_{n}")
     return val
 
 

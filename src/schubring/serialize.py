@@ -61,10 +61,16 @@ def render_document(doc: PolynomialDocument) -> str:
 
 
 def parse_document(text: str) -> PolynomialDocument:
+    """Parse a rendered document; raises ValueError for any other JSON."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("not a polynomial document")
     if obj.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {obj.get('schema')!r}")
-    return PolynomialDocument(obj["ring"]["family"], obj["terms"], obj.get("metadata", {}))
+    ring, terms = obj.get("ring"), obj.get("terms")
+    if not (isinstance(ring, dict) and ring.get("family") in ("c", "b") and isinstance(terms, list)):
+        raise ValueError("a polynomial document needs a ring family and a term list")
+    return PolynomialDocument(ring["family"], terms, obj.get("metadata", {}))
 
 
 def gamma_to_latex(f: GammaElement) -> str:

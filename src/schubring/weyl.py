@@ -380,7 +380,8 @@ def _grassmannian_by_shape(n: int, flavor: str, weight: int) -> dict:
     for w in enumerate_grassmannian(n, flavor, weight):
         if w.length() == weight:
             key = grassmannian_shape(w, n)
-            assert key not in table, "correspondence must be injective"
+            if key in table:
+                raise ArithmeticError(f"correspondence is not injective at {key}")
             table[key] = w
     return table
 
@@ -404,12 +405,9 @@ def grassmannian_element(lam, n: int, flavor: str = "BC") -> SignedPermutation:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_group(kind: str, n: int, max_length: int | None = None):
-    """Complete duplicate-free listing, ordered by (length, window).
-
-    kind: 'W' (hyperoctahedral W_n), 'Wtilde' (even subgroup), 'S' (symmetric
-    group S_n), or 'W^(n)' / 'Wtilde^(n)' (truncated by max_length).
-    """
+def enumerate_group(kind: str, n: int):
+    """The finite group 'W' (hyperoctahedral W_n), 'Wtilde' (its even
+    subgroup) or 'S' (symmetric group S_n), ordered by (length, window)."""
     if kind in ("W", "Wtilde"):
         flavor = "BC" if kind == "W" else "D"
         out = []
@@ -424,51 +422,41 @@ def enumerate_group(kind: str, n: int, max_length: int | None = None):
         out = [
             SignedPermutation(p, "A") for p in itertools.permutations(range(1, n + 1))
         ]
-    elif kind in ("W^(n)", "Wtilde^(n)"):
-        assert max_length is not None
-        flavor = "BC" if kind == "W^(n)" else "D"
-        out = [
-            w
-            for w in _elements_up_to_length(flavor, max_length)
-            if _in_parabolic_quotient(w, n)
-        ]
     else:
         raise ValueError(f"unknown group kind {kind!r}")
     out.sort(key=lambda w: (w.length(), w.window))
     return out
 
 
-def _in_parabolic_quotient(w: SignedPermutation, n: int) -> bool:
-    """w_{n+1} < w_{n+2} < ... , checked out to the window support."""
-    return all(w(i) < w(i + 1) for i in range(n + 1, w.support + 1))
-
-
 @lru_cache(maxsize=None)
-def _elements_up_to_length(flavor: str, max_length: int) -> tuple:
-    """All elements of W_infinity (resp. its even subgroup) of length <= bound."""
-    start = SignedPermutation.identity(flavor)
-    seen = {start}
-    frontier = [start]
+def quotient_elements(flavor: str, n: int, max_length: int) -> tuple:
+    """The parabolic quotient W^(n) = {w : w(i) < w(i+1) for every i > n} up
+    to length max_length, ordered by (length, window).
+
+    Grown from the identity by left multiplication.  W^(n) is closed under
+    left descents, so every element of length l + 1 is s_i w for some w of
+    length l in W^(n); and i <= max(support of w, n), since for larger i the
+    product s_i w = w s_i has a right descent at i > n.
+    """
+    frontier = [SignedPermutation.identity(flavor)]
+    out = list(frontier)
     for ell in range(max_length):
-        gen_bound = max_length + 2
-        new = []
+        new = set()
         for w in frontier:
-            for i in w.gen_indices(gen_bound):
-                ws = w.right_mul_gen(i)
-                if ws not in seen and ws.length() == ell + 1:
-                    seen.add(ws)
-                    new.append(ws)
-        frontier = new
-    return tuple(sorted(seen, key=lambda w: (w.length(), w.window)))
+            for i in w.gen_indices(max(w.support, n)):
+                v = w.left_mul_gen(i)
+                if v.length() == ell + 1 and all(
+                    v(j) < v(j + 1) for j in range(n + 1, v.support)
+                ):
+                    new.add(v)
+        frontier = sorted(new, key=lambda w: w.window)
+        out.extend(frontier)
+    return tuple(out)
 
 
 def enumerate_grassmannian(n: int, flavor: str, max_length: int):
     """All n-Grassmannian elements of length <= max_length."""
-    return [
-        w
-        for w in _elements_up_to_length(flavor, max_length)
-        if is_grassmannian(w, n)
-    ]
+    return [w for w in quotient_elements(flavor, n, max_length) if is_grassmannian(w, n)]
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,25 @@ def test_compute_method_both(capsys):
 def test_exit_code_parse_error(capsys):
     code, _, err = run_cli("compute", "--lie-type", "C", "--w", "[what]", capsys=capsys)
     assert code == 2
+    # a partition is split on commas only: "2 1" is not the part 21
+    for args in (
+        ("--theta", "2", "2 1"),
+        ("--eta", "2", "2 1", "0"),
+        ("--pfaffian", "1 0", "-1,0", "3,1"),
+    ):
+        code, out, _ = run_cli("compute", *args, capsys=capsys)
+        assert (code, out) == (2, ""), args
+    assert run_cli("compute", "--theta", "1", "3, 1", capsys=capsys) == run_cli(
+        "compute", "--theta", "1", "3,1", capsys=capsys
+    )
+
+
+@pytest.mark.parametrize("args", [("--theta", "4", "1"), ("--theta", "5", "2"), ("--eta", "4", "1", "0")])
+def test_compute_grassmannian_support_above_level(args, capsys):
+    # the n-Grassmannian element of these shapes has support n + 1
+    code, out, _ = run_cli("compute", *args, capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["terms"]
 
 
 def test_exit_code_precondition(capsys):
@@ -116,6 +135,15 @@ def test_expand_theta_basis(tmp_path, capsys):
     assert json.loads(out)["coefficients"] == {"[3]": 1}
 
 
+@pytest.mark.parametrize("text", ["[]", '{"schema": 1}'])
+def test_expand_rejects_non_document(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli("expand", "--in", str(path), "--basis", "schubert-single", capsys=capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+
+
 def test_expand_rejects_y(tmp_path, capsys):
     f = GammaElement.monomial(yk=(1,))
     path = tmp_path / "y.json"
@@ -156,7 +184,8 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     assert sch.schubert_transition(w) == val
 
 
-def test_disk_cache_truncated_entry_is_a_miss(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("damage", ["truncated", "[]", '{"schema": 1}'])
+def test_disk_cache_truncated_entry_is_a_miss(damage, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
     from schubring import schubert as sch
 
@@ -166,8 +195,8 @@ def test_disk_cache_truncated_entry_is_a_miss(tmp_path, monkeypatch, capsys):
     assert code == 0
     entry = tmp_path / (sch._disk_key(("BC", (2, -1), "double")) + ".json")
     good = entry.read_text()
-    entry.write_text(good[: len(good) // 2])
-    # a cold table meets the truncated entry, recomputes and rewrites it
+    entry.write_text(good[: len(good) // 2] if damage == "truncated" else damage)
+    # a cold table meets the damaged entry, recomputes and rewrites it
     monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
     code, again, _ = run_cli(*args, capsys=capsys)
     assert code == 0
@@ -176,15 +205,33 @@ def test_disk_cache_truncated_entry_is_a_miss(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
-@pytest.mark.parametrize("window", ["[2,2]", "[-1,3]", "[0,1]"])
-def test_window_validation_survives_optimize(window):
+def _run_optimized(*args):
+    """Run python -O with the package under test importable."""
     import schubring
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(schubring.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "schubring.cli", "compute", "--lie-type", "D", "--w", window],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+@pytest.mark.parametrize("window", ["[2,2]", "[-1,3]", "[0,1]"])
+def test_window_validation_survives_optimize(window):
+    proc = _run_optimized("-m", "schubring.cli", "compute", "--lie-type", "D", "--w", window)
     assert proc.returncode == 3, (proc.stdout, proc.stderr)
     assert proc.stdout == ""
+
+
+def test_pfaffian_check_survives_optimize():
+    # with every Pfaffian doubled, the Pfaffian formula check must still fail
+    proc = _run_optimized("-c", (
+        "import sys\n"
+        "from schubring import schubert as sch\n"
+        "from schubring.cli import main\n"
+        "pf = sch.multi_schur_pfaffian\n"
+        "sch.multi_schur_pfaffian = lambda *a, **k: pf(*a, **k) * 2\n"
+        "sys.exit(main(['verify', '--suite', 'pfaffian-props']))\n"
+    ))
+    assert proc.returncode == 1, (proc.stdout, proc.stderr)
+    assert "FAIL pfaffian-props/BC-m3-n0" in proc.stdout

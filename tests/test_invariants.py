@@ -79,6 +79,13 @@ def test_kernel_span_equality_small():
     assert kernel_span_equality(2, 2, "D")["equal"]
 
 
+@pytest.mark.parametrize("flavor", ["BC", "D"])
+def test_kernel_span_equality_rank4(flavor):
+    # the Schubert span needs elements of support up to n + d
+    for d in (1, 2):
+        assert kernel_span_equality(4, d, flavor)["equal"], d
+
+
 def test_double_generator_lies_in_schubert_span():
     # {}^n c^n_p equals a restricted Schubert polynomial above the finite group
     from schubring.weyl import SignedPermutation

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from schubring.weyl import (
     grassmannian_element,
     grassmannian_shape,
     is_grassmannian,
+    quotient_elements,
     shape,
     strict_partition_element,
     transition_data,
@@ -136,11 +138,28 @@ def test_enumerate_counts():
     assert ws == sorted(ws, key=lambda w: (w.length(), w.window))
 
 
+def _quotient_by_brute_force(flavor, n, max_length):
+    # every element of W^(n) of length <= L has support <= n + L + 1
+    k = n + max_length + 1
+    out = []
+    for perm in itertools.permutations(range(1, k + 1)):
+        for signs in itertools.product((1, -1), repeat=k):
+            if flavor == "D" and signs.count(-1) % 2:
+                continue
+            w = S(tuple(s * p for s, p in zip(signs, perm)), flavor)
+            if w.length() <= max_length and all(w(i) < w(i + 1) for i in range(n + 1, k)):
+                out.append(w)
+    return sorted(out, key=lambda w: (w.length(), w.window))
+
+
 def test_truncated_quotient_enumeration():
-    ws = enumerate_group("W^(n)", 1, max_length=3)
-    assert all(all(w(i) < w(i + 1) for i in range(2, w.support + 1)) for w in ws)
-    assert len(ws) == len(set(ws))
-    assert all(w.length() <= 3 for w in ws)
+    for flavor in ("BC", "D"):
+        for n in range(5):
+            for max_length in range(5 - n):
+                got = list(quotient_elements(flavor, n, max_length))
+                assert got == _quotient_by_brute_force(flavor, n, max_length), (flavor, n, max_length)
+    # type D reaches support n + L + 1
+    assert S((-4, -1, 2, 3), "D") in quotient_elements("D", 0, 3)
 
 
 def test_grassmannian_correspondence_roundtrip():
