@@ -184,8 +184,7 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     assert sch.schubert_transition(w) == val
 
 
-@pytest.mark.parametrize("damage", ["truncated", "[]", '{"schema": 1}'])
-def test_disk_cache_truncated_entry_is_a_miss(damage, tmp_path, monkeypatch, capsys):
+def _check_damaged_entry_is_a_miss(damage, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
     from schubring import schubert as sch
 
@@ -203,6 +202,15 @@ def test_disk_cache_truncated_entry_is_a_miss(damage, tmp_path, monkeypatch, cap
     assert again == first
     assert entry.read_text() == good
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_disk_cache_truncated_entry_is_a_miss(tmp_path, monkeypatch, capsys):
+    _check_damaged_entry_is_a_miss("truncated", tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("damage", ["[]", '{"schema": 1}'])
+def test_disk_cache_non_document_entry_is_a_miss(damage, tmp_path, monkeypatch, capsys):
+    _check_damaged_entry_is_a_miss(damage, tmp_path, monkeypatch, capsys)
 
 
 def _run_optimized(*args):
