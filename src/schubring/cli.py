@@ -263,7 +263,7 @@ def _suite_alternants(bounds):
 
 
 def _suite_kernel(bounds):
-    n = 2
+    n = bounds.n
     dmax = bounds.max_degree if bounds.max_degree is not None else 4
     for flavor in ("BC", "D"):
         for d in range(1, dmax + 1):

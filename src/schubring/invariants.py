@@ -3,8 +3,9 @@ certificates and dual-basis orthogonality, all over exact rationals.
 
 Graded pieces are handled as explicit coefficient vectors with respect to the
 monomial basis of the ambient ring (generator monomials on strict partitions
-times x/y monomials); ranks and span comparisons use fraction-free Gaussian
-elimination, so every report is exact.
+times x/y monomials); ranks and span comparisons use sparse fraction-free
+elimination over Q on primitive integer rows (Bareiss, Math. Comp. 22, 1968),
+so every report is exact.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .polyring import D_ONE, elem_sym, supersym_e
 from .gammaring import (
@@ -91,54 +92,65 @@ def to_vector(f: GammaElement, basis: tuple) -> list[Fraction]:
     return vec
 
 
-@dataclass
-class GradedPiece:
-    """A degree-d graded piece of an ambient ring: the monomial basis and a
-    spanning set written in exact rational coordinates."""
+def _primitive_row(row) -> dict[int, int]:
+    """The primitive integer multiple of a rational row as {column: int}."""
+    entries = [(j, v.numerator, v.denominator) for j, v in enumerate(row) if v]
+    den = lcm(*(q for _, _, q in entries))
+    g = gcd(*(p for _, p, _ in entries))
+    return {j: p * (den // q) // g for j, p, q in entries}
 
-    degree: int
-    ring_id: str
-    basis: tuple
-    vectors: list
 
-    def rank(self) -> int:
-        return exact_rank(self.vectors)
+def _reduce(row: dict[int, int], pivots: dict) -> dict[int, int]:
+    """Cancel the leading entry of an integer row against the pivot row of
+    that column until it has none; the result stays primitive."""
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            return row
+        g = gcd(row[lead], piv[lead])
+        a, b = piv[lead] // g, row[lead] // g
+        row = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+        for j, v in piv.items():
+            x = row.get(j, 0) - b * v
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+        g = gcd(*row.values())
+        if g > 1:
+            row = {j: v // g for j, v in row.items()}
+    return row
 
-    def equals_span(self, other: "GradedPiece") -> bool:
-        assert self.basis == other.basis
-        return spans_equal(self.vectors, other.vectors)
+
+def echelon(rows) -> dict[int, dict[int, int]]:
+    """Sparse fraction-free echelon form over Q of rational rows: the nonzero
+    reduced rows as primitive integer rows, keyed by their leading column."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = _reduce(_primitive_row(row), pivots)
+        if r:
+            lead = min(r)
+            pivots[lead] = r if r[lead] > 0 else {j: -v for j, v in r.items()}
+    return pivots
+
+
+def _same_span(ea: dict, eb: dict) -> bool:
+    """Equal ranks and every row of eb in the span of ea."""
+    return len(ea) == len(eb) and not any(_reduce(r, ea) for r in eb.values())
 
 
 def exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q by Gaussian elimination (destructive on a copy)."""
-    mat = [row[:] for row in rows if any(row)]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    pivot_col = 0
-    while rank < len(mat) and pivot_col < cols:
-        piv = next((r for r in range(rank, len(mat)) if mat[r][pivot_col]), None)
-        if piv is None:
-            pivot_col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][pivot_col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][pivot_col]:
-                factor = mat[r][pivot_col] / lead
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        pivot_col += 1
-    return rank
+    """Rank over Q."""
+    return len(echelon(rows))
 
 
 def spans_equal(avecs: list, bvecs: list) -> bool:
-    ra, rb = exact_rank(avecs), exact_rank(bvecs)
-    return ra == rb == exact_rank(avecs + bvecs)
+    return _same_span(echelon(avecs), echelon(bvecs))
 
 
 def in_span(vectors: list, target: list) -> bool:
-    r = exact_rank(vectors)
-    return exact_rank(vectors + [target]) == r
+    return not _reduce(_primitive_row(target), echelon(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +295,13 @@ def kernel_span_equality(n: int, d: int, flavor: str = "BC") -> dict:
     Schubert polynomials above the finite group; returns an exact report."""
     basis = monomial_basis(n, d, with_y=True)
     gens = generator_set("gamma-hat" if flavor == "BC" else "B-hat", n, d)
-    ideal = GradedPiece(d, f"{flavor}[{n}] ideal", basis,
-                        ideal_piece_vectors(gens, n, d, True, basis))
-    schub = GradedPiece(d, f"{flavor}[{n}] schubert span", basis,
-                        schubert_span_vectors(n, d, flavor, basis))
+    ideal = echelon(ideal_piece_vectors(gens, n, d, True, basis))
+    schub = echelon(schubert_span_vectors(n, d, flavor, basis))
     return {
         "degree": d,
-        "ideal_dim": ideal.rank(),
-        "schubert_dim": schub.rank(),
-        "equal": ideal.equals_span(schub),
+        "ideal_dim": len(ideal),
+        "schubert_dim": len(schub),
+        "equal": _same_span(ideal, schub),
     }
 
 

@@ -461,7 +461,8 @@ def theta_expand(f: GammaElement, n: int, flavor: str = "BC") -> dict:
     out = {}
     for win, c in single.items():
         w = SignedPermutation(win, flavor)
-        assert is_grassmannian(w, n), f"not in the level-{n} invariant span: {win}"
+        if not is_grassmannian(w, n):
+            raise ValueError(f"not in the level-{n} invariant span: {win}")
         out[grassmannian_shape(w, n)] = c
     return out
 

@@ -163,6 +163,14 @@ def test_verify_suite_oracle(capsys):
     assert code == 0
 
 
+def test_verify_suite_kernel_honours_n(capsys):
+    code, out, _ = run_cli("verify", "--suite", "kernel", "--n", "3", "--max-degree", "3",
+                           capsys=capsys)
+    assert code == 0
+    assert "PASS kernel/D-n3-d3" in out
+    assert "6/6 checks passed" in out
+
+
 def test_verify_output_sorted(capsys):
     code, out, _ = run_cli("verify", "--suite", "shapes", capsys=capsys)
     lines = [l.split(" ", 1)[1] for l in out.strip().splitlines()[:-1]]
@@ -229,6 +237,20 @@ def test_window_validation_survives_optimize(window):
     proc = _run_optimized("-m", "schubring.cli", "compute", "--lie-type", "D", "--w", window)
     assert proc.returncode == 3, (proc.stdout, proc.stderr)
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("lie_type, basis", [("C", "theta"), ("D", "eta")])
+def test_expand_grassmannian_check_survives_optimize(lie_type, basis, tmp_path, capsys):
+    # S_[1,3,2] is not invariant at level 1, so it has no theta/eta expansion
+    code, out, _ = run_cli("compute", "--lie-type", lie_type, "--w", "[1,3,2]", capsys=capsys)
+    assert code == 0
+    path = tmp_path / "f.json"
+    path.write_text(out)
+    proc = _run_optimized("-m", "schubring.cli", "expand", "--in", str(path),
+                          "--basis", basis, "--n", "1")
+    assert proc.returncode == 3, (proc.stdout, proc.stderr)
+    assert proc.stdout == ""
+    assert "not in the level-1 invariant span" in proc.stderr
 
 
 def test_pfaffian_check_survives_optimize():

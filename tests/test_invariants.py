@@ -1,5 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+from schubring import invariants
 from schubring.polyring import elem_sym
 from schubring.gammaring import (
     GammaElement,
@@ -44,6 +48,68 @@ def test_exact_rank():
     assert not in_span([[F(1), F(0)]], [F(0), F(1)])
 
 
+def _dense_rank(rows) -> int:
+    """Reference rank over Q: textbook Gauss-Jordan elimination on dense
+    Fraction rows, sharing no code with schubring.invariants."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col] / mat[rank][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+_ENTRIES = [Fraction(0)] * 6 + [
+    Fraction(p, q) for p in (-3, -1, 1, 2, 5) for q in (1, 2, 3, 4, 7, 8, 15)
+]
+
+
+def _combination(rng, rows, cols):
+    return [sum((rng.choice(_ENTRIES[6:]) * r[j] for r in rows), Fraction(0)) for j in range(cols)]
+
+
+def _random_rows(rng, count, cols):
+    """Rows with dyadic and odd denominators; some are zero, and some are
+    combinations of earlier rows, so the matrix is often rank-deficient."""
+    rows = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([Fraction(0)] * cols)
+        elif kind < 0.5 and rows:
+            rows.append(_combination(rng, rng.sample(rows, min(len(rows), 3)), cols))
+        else:
+            rows.append([rng.choice(_ENTRIES) for _ in range(cols)])
+    return rows
+
+
+def test_linear_algebra_matches_dense_reference():
+    for seed in range(1200):
+        rng = random.Random(seed)
+        cols = rng.randint(0, 7)
+        a = _random_rows(rng, rng.randint(0, 7), cols)
+        if a and rng.random() < 0.4:
+            # spans the same space as a when the combinations keep the rank
+            b = [_combination(rng, a, cols) for _ in range(len(a) + 1)]
+        else:
+            b = _random_rows(rng, rng.randint(0, 7), cols)
+        if rng.random() < 0.5:
+            target = _combination(rng, a, cols)
+        else:
+            target = _random_rows(rng, 1, cols)[0]
+        ra, rb = _dense_rank(a), _dense_rank(b)
+        assert exact_rank(a) == ra, seed
+        assert in_span(a, target) == (_dense_rank(a + [target]) == ra), seed
+        assert spans_equal(a, b) == (ra == rb == _dense_rank(a + b)), seed
+
+
 def test_monomial_basis_sizes():
     # degree-2 piece of the level-2 single-variable ring: c2, c1x, x^2 shapes
     basis = monomial_basis(2, 2, with_y=False)
@@ -82,8 +148,23 @@ def test_kernel_span_equality_small():
 @pytest.mark.parametrize("flavor", ["BC", "D"])
 def test_kernel_span_equality_rank4(flavor):
     # the Schubert span needs elements of support up to n + d
-    for d in (1, 2):
+    for d in (1, 2, 3, 4):
         assert kernel_span_equality(4, d, flavor)["equal"], d
+
+
+@pytest.mark.parametrize("flavor", ["BC", "D"])
+@pytest.mark.parametrize("dropped", [0, 1, 2])
+def test_kernel_span_equality_needs_every_generator(flavor, dropped, monkeypatch):
+    # without one of its first generators the ideal is a proper part of the kernel
+    full = invariants.generator_set
+
+    def without_one(tag, n, max_degree):
+        gens = full(tag, n, max_degree)
+        els = gens.elements[:dropped] + gens.elements[dropped + 1:]
+        return invariants.GeneratorSet(gens.tag, gens.n, els)
+
+    monkeypatch.setattr(invariants, "generator_set", without_one)
+    assert not kernel_span_equality(2, 3, flavor)["equal"]
 
 
 def test_double_generator_lies_in_schubert_span():
