@@ -66,13 +66,12 @@ def _dense_rank(rows) -> int:
     return rank
 
 
-_ENTRIES = [Fraction(0)] * 6 + [
-    Fraction(p, q) for p in (-3, -1, 1, 2, 5) for q in (1, 2, 3, 4, 7, 8, 15)
-]
+_NONZERO = [Fraction(p, q) for p in (-3, -1, 1, 2, 5) for q in (1, 2, 3, 4, 7, 8, 15)]
+_ENTRIES = [Fraction(0)] * 6 + _NONZERO
 
 
 def _combination(rng, rows, cols):
-    return [sum((rng.choice(_ENTRIES[6:]) * r[j] for r in rows), Fraction(0)) for j in range(cols)]
+    return [sum((rng.choice(_NONZERO) * r[j] for r in rows), Fraction(0)) for j in range(cols)]
 
 
 def _random_rows(rng, count, cols):
