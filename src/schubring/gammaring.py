@@ -68,6 +68,25 @@ def _square_relation(family: str, p: int) -> list[tuple[int, int, int]]:
     return terms
 
 
+def _add_into(out: dict, terms: dict, scale=1) -> dict:
+    """out += scale * terms on term dictionaries, in place; returns out.
+
+    Summing k elements this way costs their total size, where a chain of
+    ``total = total + x`` copies the growing total every time.
+    """
+    rescale = scale != 1
+    for k, c in terms.items():
+        if rescale:
+            c = c * scale
+        s = out.get(k)
+        s = c if s is None else s + c
+        if s:
+            out[k] = s
+        elif k in out:
+            del out[k]
+    return out
+
+
 class GammaElement:
     """An element of Gamma[X, Y] (family 'c') or Gamma'[X, Y] (family 'b').
 
@@ -147,15 +166,7 @@ class GammaElement:
 
     def __add__(self, other: "GammaElement") -> "GammaElement":
         self._check(other)
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k)
-            s = c if s is None else s + c
-            if s:
-                t[k] = s
-            elif k in t:
-                del t[k]
-        return GammaElement(self.family, t)
+        return GammaElement(self.family, _add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other: "GammaElement") -> "GammaElement":
         return self + (-other)
@@ -364,28 +375,28 @@ def act_generator(i: int, f: GammaElement) -> GammaElement:
             elif k in out:
                 del out[k]
         return GammaElement(f.family, out)
-    if f.family == "c":
-        out_el = GammaElement.zero("c")
-        for (subs, xk, yk), c in f.terms.items():
-            sign = -1 if (xk and xk[0] % 2 == 1) else 1
-            piece = GammaElement("c", {((), xk, yk): c * sign})
-            for p in subs:
-                piece = piece * _s0_image(p)
-            out_el = out_el + piece
-        return out_el
-    # branch node: (x1, x2) -> (-x2, -x1), b_p transforms by _sbox_image
-    out_el = GammaElement.zero("b")
+    # s_0 (family 'c'): x_1 -> -x_1; branch node (family 'b'): (x1, x2) ->
+    # (-x2, -x1).  Terms are grouped by subscript tuple; the group's
+    # generator image is y-free and built once, and every term's moved
+    # monomial is spread over it before the next group's image is built.
+    image = _s0_image if f.family == "c" else _sbox_image
+    groups: dict = {}
     for (subs, xk, yk), c in f.terms.items():
-        a1 = xk[0] if len(xk) >= 1 else 0
-        a2 = xk[1] if len(xk) >= 2 else 0
-        lst = list(xk) + [0, 0]
-        lst[0], lst[1] = a2, a1
-        sign = -1 if (a1 + a2) % 2 == 1 else 1
-        piece = GammaElement("b", {((), _trim(tuple(lst)), yk): c * sign})
+        groups.setdefault(subs, []).append((xk, yk, c))
+    out: dict = {}
+    for subs, monos in groups.items():
+        img = GammaElement.const(1, f.family)
         for p in subs:
-            piece = piece * _sbox_image(p)
-        out_el = out_el + piece
-    return out_el
+            img = img * image(p)
+        for xk, yk, c in monos:
+            a1, a2 = (xk + (0, 0))[:2]
+            odd = a1 % 2
+            if f.family == "b":
+                xk = _trim((a2, a1) + xk[2:])
+                odd = (a1 + a2) % 2
+            moved = {(s2, _madd(xk, x2), yk): c2 for (s2, x2, _), c2 in img.terms.items()}
+            _add_into(out, moved, -c if odd else c)
+    return GammaElement(f.family, out)
 
 
 def weyl_act(w, f: GammaElement) -> GammaElement:

@@ -22,6 +22,7 @@ from functools import lru_cache
 from .polyring import Dyadic, SparsePoly, elem_sym, supersym_e
 from .gammaring import (
     GammaElement,
+    _add_into,
     c_entry,
     c_hat_entry,
     level_c,
@@ -102,22 +103,24 @@ def expand(
                 new[key] = new.get(key, 0) + coeff * c
                 k += 1
         states = {k: v for k, v in new.items() if v}
-    total = None
-    for (vec, supp), coeff in sorted(states.items(), key=lambda kv: kv[0][0]):
-        if any(v < 0 for v in vec):
-            continue
-        piece = None
-        for row in range(1, ell + 1):
-            e = entry_fn(row, vec[row - 1], not (star and row in supp))
-            piece = e if piece is None else piece * e
-            if not piece:
-                break
-        if piece is None or not piece:
-            continue
-        piece = piece * coeff
-        total = piece if total is None else total + piece
-    if total is None:
-        total = entry_fn(1, -1, True)  # a zero of the right family
+    # Fold the surviving states from the last row up.  A state is keyed by
+    # its per-row (subscript, keep_hat) pairs; the states sharing rows
+    # 1..row-1 are summed first, so each row's entry multiplies once per
+    # distinct prefix rather than once per state.
+    family = entry_fn(1, -1, True).family
+    vals: dict = {}
+    for (vec, supp), coeff in states.items():
+        if ell and min(vec) >= 0:
+            key = tuple((a, not (star and r in supp)) for r, a in enumerate(vec, 1))
+            vals[key] = vals.get(key, 0) + coeff
+    for row in range(ell, 0, -1):
+        up: dict = {}
+        for key, val in vals.items():
+            e = entry_fn(row, *key[-1])
+            if e and val:
+                _add_into(up.setdefault(key[:-1], {}), (e * val).terms)
+        vals = {k: GammaElement(family, t) for k, t in up.items()}
+    total = vals.get((), GammaElement(family))
     if isinstance(prefactor, int):
         prefactor = Dyadic(prefactor)
     return total * prefactor
@@ -242,11 +245,11 @@ def _pfaffian_value_blocks(spec: PfaffianSpec) -> GammaElement:
         if not rows:
             return GammaElement.const(1, "b" if spec.hatted else "c")
         first, rest = rows[0], rows[1:]
-        total = GammaElement.zero("b" if spec.hatted else "c")
+        total: dict = {}
         for t, j in enumerate(rest):
             term = block(first, j) * pf(rest[:t] + rest[t + 1 :])
-            total = total + (term if t % 2 == 0 else -term)
-        return total
+            _add_into(total, term.terms, -1 if t % 2 else 1)
+        return GammaElement("b" if spec.hatted else "c", total)
 
     return pf(tuple(range(r)))
 

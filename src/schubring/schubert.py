@@ -16,9 +16,10 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polyring import D_ONE, Dyadic
+from .polyring import D_ZERO, Dyadic
 from .gammaring import (
     GammaElement,
+    _add_into,
     act_generator,
     c_to_b,
     weyl_act,
@@ -63,8 +64,9 @@ def _divide_uv(g: GammaElement, i: int, plus: bool) -> GammaElement:
         a = xk[i - 1] if len(xk) >= i else 0
         rest = list(xk) + [0] * max(0, i + 1 - len(xk))
         rest[i - 1] = 0
-        buckets.setdefault(a, {}).setdefault((subs, tuple(rest), yk), D_ONE * 0)
-        buckets[a][(subs, tuple(rest), yk)] = buckets[a][(subs, tuple(rest), yk)] + c
+        bucket = buckets.setdefault(a, {})
+        k = (subs, tuple(rest), yk)
+        bucket[k] = bucket.get(k, D_ZERO) + c
     out: dict = {}
     carry_sign = -1 if plus else 1
     amax = max(buckets.keys(), default=0)
@@ -81,7 +83,7 @@ def _divide_uv(g: GammaElement, i: int, plus: bool) -> GammaElement:
             while qk and qk[-1] == 0:
                 qk = qk[:-1]
             kq = (subs, qk, yk)
-            s = out.get(kq, D_ONE * 0) + c
+            s = out.get(kq, D_ZERO) + c
             if s:
                 out[kq] = s
             elif kq in out:
@@ -91,7 +93,7 @@ def _divide_uv(g: GammaElement, i: int, plus: bool) -> GammaElement:
             r2[i] += 1
             k2 = (subs, tuple(r2), yk)
             dst = buckets.setdefault(a - 1, {})
-            dst[k2] = dst.get(k2, D_ONE * 0) + c * carry_sign
+            dst[k2] = dst.get(k2, D_ZERO) + c * carry_sign
     if any(buckets.get(0, {}).values()):
         raise ArithmeticError("division left a nonzero remainder")
     return GammaElement(g.family, out)
@@ -379,7 +381,8 @@ def pfaffian_formula(
     """
     flavor = flavor or w.flavor
     w = w.with_flavor(flavor)
-    assert is_grassmannian(w, n), f"{w.window} is not {n}-Grassmannian"
+    if not is_grassmannian(w, n):
+        raise ValueError(f"{w.window} is not {n}-Grassmannian")
     w0 = longest_element(n, flavor) if n else SignedPermutation.identity(flavor)
     what = w * w0
     sh = shape(what)
@@ -441,10 +444,12 @@ def schubert_expand_single(f: GammaElement, flavor: str = "BC") -> dict:
             raise ArithmeticError(f"non-integral coefficient {c} at {win}")
         out[win] = c.num
     # exactness: the expansion must re-sum to f
-    total = GammaElement.zero(f.family)
+    total: dict = {}
     for win, c in out.items():
-        total = total + schubert_poly(SignedPermutation(win, flavor), flavor, False) * c
-    if total != f:
+        piece = schubert_poly(SignedPermutation(win, flavor), flavor, False)
+        f._check(piece)
+        _add_into(total, piece.terms, c)
+    if total != f.terms:
         raise ArithmeticError("re-summation failed")
     return out
 
@@ -490,11 +495,10 @@ def alternating_operator(f: GammaElement, n: int, flavor: str = "BC") -> GammaEl
     from .weyl import enumerate_group
 
     kind = "W" if flavor == "BC" else "Wtilde"
-    total = GammaElement.zero(f.family)
+    total: dict = {}
     for w in enumerate_group(kind, n):
-        term = weyl_act(w, f)
-        total = total + (term if w.length() % 2 == 0 else -term)
-    return total
+        _add_into(total, weyl_act(w, f).terms, -1 if w.length() % 2 else 1)
+    return GammaElement(f.family, total)
 
 
 def staircase_monomial(n: int, flavor: str, family: str) -> GammaElement:

@@ -253,6 +253,21 @@ def test_expand_grassmannian_check_survives_optimize(lie_type, basis, tmp_path, 
     assert "not in the level-1 invariant span" in proc.stderr
 
 
+@pytest.mark.parametrize("check", [False, True])
+def test_pfaffian_formula_precondition_survives_optimize(check):
+    # [1,3,2] is not 1-Grassmannian: a precondition error, not a value
+    proc = _run_optimized("-c", (
+        "from schubring.schubert import pfaffian_formula\n"
+        "from schubring.weyl import SignedPermutation\n"
+        "try:\n"
+        f"    pfaffian_formula(SignedPermutation((1, 3, 2), 'BC'), 1, check={check})\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+    ))
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+    assert proc.stdout == "ValueError: (1, 3, 2) is not 1-Grassmannian\n"
+
+
 def test_pfaffian_check_survives_optimize():
     # with every Pfaffian doubled, the Pfaffian formula check must still fail
     proc = _run_optimized("-c", (

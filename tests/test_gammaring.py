@@ -23,13 +23,13 @@ from schubring.weyl import SignedPermutation
 g = GammaElement.generator
 
 
-def rand_raw(rng, nterms=5, maxsub=3, maxfactors=2):
+def rand_raw(rng, nterms=5, maxsub=3, maxfactors=2, nx=2, ny=1):
     raw = []
     for _ in range(nterms):
         k = rng.randint(0, maxfactors)
         subs = [rng.randint(1, maxsub) for _ in range(k)]
-        xk = tuple(rng.randint(0, 2) for _ in range(2))
-        yk = (rng.randint(0, 1),)
+        xk = tuple(rng.randint(0, 2) for _ in range(nx))
+        yk = tuple(rng.randint(0, 1) for _ in range(ny))
         raw.append((subs, xk, yk, rng.randint(-3, 3)))
     return raw
 
@@ -168,6 +168,63 @@ def test_weyl_action_word_independence():
     for i in reversed(word):
         out1 = act_generator(i, out1)
     assert out1 == weyl_act(w, f)
+
+
+def literal_image(family, p):
+    """s_0(c_p) = c_p + 2 sum_{j=1}^p x1^j c_{p-j};  the branch reflection
+    sends b_p to b_p + (x1 + x2) sum_{j<p} h_j(x1, x2) c_{p-1-j}, c_q = 2 b_q."""
+    raw = [((p,), (), (), 1)]
+    if family == "c":
+        raw += [((p - j,), (j,), (), 2) for j in range(1, p + 1)]
+    for j in range(p if family == "b" else 0):
+        q = p - 1 - j
+        for u in range(j + 1):
+            raw += [((q,), (u + 1, j - u), (), 2 if q else 1),
+                    ((q,), (u, j - u + 1), (), 2 if q else 1)]
+    return GammaElement.from_raw(family, raw)
+
+
+def literal_reflection(f):
+    """Index-0 action term by term: move the monomial (x1 -> -x1, or
+    (x1, x2) -> (-x2, -x1)) and multiply by the image of each generator."""
+    out = GammaElement.zero(f.family)
+    for (subs, xk, yk), c in f.terms.items():
+        a = tuple(xk) + (0, 0)
+        if f.family == "c":
+            mono = ((), xk, yk, c * (-1) ** a[0])
+        else:
+            mono = ((), (a[1], a[0]) + a[2:], yk, c * (-1) ** (a[0] + a[1]))
+        piece = GammaElement.from_raw(f.family, [mono])
+        for p in subs:
+            piece = piece * literal_image(f.family, p)
+        out = out + piece
+    return out
+
+
+@pytest.mark.parametrize("family", ["c", "b"])
+def test_index0_reflection_is_multiplicative(family):
+    rng = random.Random(f"mult-{family}")
+    for _ in range(200):
+        # smaller factors keep the product's image affordable
+        f = GammaElement.from_raw(family, rand_raw(rng, 3, 3, 2, nx=3, ny=2))
+        h = GammaElement.from_raw(family, rand_raw(rng, 3, 3, 2, nx=3, ny=2))
+        assert act_generator(0, f * h) == act_generator(0, f) * act_generator(0, h)
+
+
+@pytest.mark.parametrize("family", ["c", "b"])
+def test_index0_reflection_is_an_involution(family):
+    rng = random.Random(f"inv-{family}")
+    for _ in range(200):
+        f = GammaElement.from_raw(family, rand_raw(rng, 4, 3, 3, nx=3, ny=2))
+        assert act_generator(0, act_generator(0, f)) == f
+
+
+@pytest.mark.parametrize("family", ["c", "b"])
+def test_index0_reflection_matches_literal_per_term_form(family):
+    rng = random.Random(f"literal-{family}")
+    for _ in range(200):
+        f = GammaElement.from_raw(family, rand_raw(rng, 4, 3, 3, nx=3, ny=2))
+        assert act_generator(0, f) == literal_reflection(f)
 
 
 def test_omega():

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from schubring.polyring import Dyadic, SparsePoly, elem_sym
+from schubring.polyring import Dyadic, SparsePoly, complete_sym, elem_sym
 from schubring.gammaring import GammaElement, c_entry, level_c
 from schubring.raising import (
     PfaffianSpec,
     RaisingExpression,
+    c_family,
+    c_hat_family,
     decompose_qpla,
     decompose_qpla_value,
     eta,
@@ -333,3 +335,70 @@ def test_pair_sets_match_staircase_inequality():
             if lam[i - 1] + lam[j - 1] >= 4 + (j - i)
         }
         assert from_window == from_shape, (lam, t.ptype)
+
+
+def naive_expand(expr, entry_fn, alpha, star=False, prefactor=1):
+    """Reference expansion: list every raising monomial, then multiply its
+    entries from scratch.  Shares no code with raising.expand."""
+    numer, denom = set(expr.numerator), set(expr.denominator)
+
+    def series(k, i, j):
+        # coefficient of R^k in (1 - R)^[num] * (1 + R)^(-[den])
+        num = (1, -1) if (i, j) in numer else (1,)
+        den = lambda m: (-1) ** m if (i, j) in denom else int(m == 0)
+        return sum(num[t] * den(k - t) for t in range(min(k + 1, len(num))))
+
+    states = {(tuple(alpha), frozenset()): 1}
+    for i, j in sorted(numer | denom, key=lambda ij: (-ij[1], ij[0])):
+        new = {}
+        for (vec, supp), coeff in states.items():
+            for k in range(max(vec[j - 1], 0) + 1):
+                c = series(k, i, j)
+                if c:
+                    v = vec[: i - 1] + (vec[i - 1] + k,) + vec[i:j - 1] + (vec[j - 1] - k,) + vec[j:]
+                    s = supp | {i, j} if star and k and (i, j) in denom else supp
+                    new[(v, s)] = new.get((v, s), 0) + coeff * c
+        states = new
+    total = entry_fn(1, -1, True)
+    for (vec, supp), coeff in states.items():
+        piece = GammaElement.const(coeff, total.family)
+        for row, a in enumerate(vec, 1):
+            piece = piece * entry_fn(row, a, not (star and row in supp))
+        total = total + piece
+    return total * prefactor
+
+
+def _random_expression(rng, ell):
+    if rng.random() < 0.5:
+        return rr_expression(ell)
+    pairs = [(i, j) for i in range(1, ell) for j in range(i + 1, ell + 1)]
+    return jt_expression(ell, [p for p in pairs if rng.random() < 0.5])
+
+
+@pytest.mark.parametrize("kind", ["c", "c_hat", "poly"])
+def test_expand_matches_naive_per_state(kind):
+    # 110 seeded cases per entry family; alphas include zeros and negatives
+    rng = random.Random(f"expand-{kind}")
+    for _ in range(110):
+        ell = rng.randint(1, 4)
+        top = 3 if ell <= 2 else 2
+        expr = _random_expression(rng, ell)
+        star = kind == "c_hat" or rng.random() < 0.5
+        if kind == "c":
+            rho = [rng.randint(-1, 2) for _ in range(ell)]
+            beta = [rng.randint(-2, 1) for _ in range(ell)]
+            fam = c_family(rho, beta)
+            alpha = [rng.randint(-1, top + 1) for _ in range(ell)]
+        elif kind == "c_hat":
+            # subscripts near rho - beta, where the hat correction lives
+            rho = [rng.randint(0, 2) for _ in range(ell)]
+            beta = [rng.randint(-2, 0) for _ in range(ell)]
+            fam = c_hat_family(rho, beta)
+            alpha = [max(rho[i] - beta[i] + rng.randint(-2, 1), -1) for i in range(ell)]
+        else:
+            fn = rng.choice([lambda a: elem_sym(3, a, "x"), lambda a: complete_sym(2, a, "-y")])
+            fam = poly_entry_family(fn, rng.choice("cb"))
+            alpha = [rng.randint(-1, top + 1) for _ in range(ell)]
+        pref = rng.choice([1, Dyadic(1, ell)])
+        got = expand(expr, fam, alpha, star=star, prefactor=pref)
+        assert got == naive_expand(expr, fam, tuple(alpha), star, pref), (expr, alpha, kind)
