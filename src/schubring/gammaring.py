@@ -17,7 +17,6 @@ Polynomials, III.8).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -547,6 +546,7 @@ def _odd_partitions(p: int, top: int):
 
 def _q_in_power_sums(p: int) -> dict:
     """q_p = sum over odd partitions lam of p of 2^len(lam) p_lam / z_lam."""
+    from fractions import Fraction
     out = {}
     for lam in _odd_partitions(p, p):
         z = 1
@@ -570,6 +570,7 @@ def oracle_raw_embed(family: str, raw_terms) -> dict:
     power-sum indices.  The model is faithful in every degree and applies no
     relation, so it checks the rewriting independently.
     """
+    from fractions import Fraction
     scale = Fraction(1, 2) if family == "b" else Fraction(1)
     out: dict = {}
     for subs, xk, yk, coeff in raw_terms:

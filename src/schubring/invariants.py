@@ -10,11 +10,10 @@ so every report is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 
+from ._record import Record
 from .polyring import D_ONE, elem_sym, supersym_e
 from .gammaring import (
     GammaElement,
@@ -85,6 +84,7 @@ def monomial_basis(n: int, d: int, with_y: bool) -> tuple:
 
 
 def to_vector(f: GammaElement, basis: tuple) -> list[Fraction]:
+    from fractions import Fraction
     index = {k: i for i, k in enumerate(basis)}
     vec = [Fraction(0)] * len(basis)
     for k, c in f.terms.items():
@@ -158,13 +158,13 @@ def in_span(vectors: list, target: list) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """A named family of ring generators with their realized elements."""
+class GeneratorSet(Record):
+    """A named family of ring generators, realized as (degree, GammaElement) pairs."""
 
-    tag: str
-    n: int
-    elements: tuple  # tuples (degree, GammaElement)
+    __slots__ = ("tag", "n", "elements")
+
+    def __init__(self, tag: str, n: int, elements: tuple):
+        self.tag, self.n, self.elements = tag, n, elements
 
 
 def generator_set(tag: str, n: int, max_degree: int) -> GeneratorSet:

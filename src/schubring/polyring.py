@@ -8,8 +8,6 @@ floating point anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class Dyadic:
     """A rational number of the form num / 2^exp, with num odd or zero."""
@@ -73,6 +71,7 @@ class Dyadic:
         return self.exp == 0
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction  # imported where used: compute requests never need it
         return Fraction(self.num, 1 << self.exp)
 
     def __str__(self) -> str:

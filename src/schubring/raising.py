@@ -16,9 +16,9 @@ correction exactly on those slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .polyring import Dyadic, SparsePoly, elem_sym, supersym_e
 from .gammaring import (
     GammaElement,
@@ -29,18 +29,16 @@ from .gammaring import (
 )
 
 
-@dataclass(frozen=True)
-class RaisingExpression:
+class RaisingExpression(Record):
     """A product of factors (1 - R_ij) and (1 + R_ij)^{-1} on vectors of
     length ``arity``."""
 
-    arity: int
-    numerator: tuple[tuple[int, int], ...]
-    denominator: tuple[tuple[int, int], ...]
+    __slots__ = ("arity", "numerator", "denominator")
 
-    def __post_init__(self):
-        for i, j in self.numerator + self.denominator:
-            assert 1 <= i < j <= self.arity, f"bad pair ({i},{j})"
+    def __init__(self, arity: int, numerator: tuple, denominator: tuple):
+        self.arity, self.numerator, self.denominator = arity, numerator, denominator
+        for i, j in numerator + denominator:
+            assert 1 <= i < j <= arity, f"bad pair ({i},{j})"
 
 
 def rr_expression(ell: int) -> RaisingExpression:
@@ -168,8 +166,7 @@ def poly_entry_family(fn, family: str = "c"):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PfaffianSpec:
+class PfaffianSpec(Record):
     """Indexing data of a multi-Schur Pfaffian.
 
     rho/beta/alpha must have equal lengths; ``hatted`` switches to the type D
@@ -177,16 +174,13 @@ class PfaffianSpec:
     bookkeeping.
     """
 
-    rho: tuple[int, ...]
-    beta: tuple[int, ...]
-    alpha: tuple[int, ...]
-    hatted: bool = False
-    star: bool = False
+    __slots__ = ("rho", "beta", "alpha", "hatted", "star")
 
-    def __post_init__(self):
-        assert len(self.rho) == len(self.beta) == len(self.alpha)
-        if self.star:
-            assert self.hatted, "star bookkeeping only applies to hatted entries"
+    def __init__(self, rho, beta, alpha, hatted: bool = False, star: bool = False):
+        self.rho, self.beta, self.alpha, self.hatted, self.star = rho, beta, alpha, hatted, star
+        assert len(rho) == len(beta) == len(alpha)
+        if star:
+            assert hatted, "star bookkeeping only applies to hatted entries"
 
     @property
     def length(self) -> int:

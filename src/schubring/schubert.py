@@ -10,10 +10,7 @@ required to agree exactly.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .polyring import D_ZERO, Dyadic
@@ -227,9 +224,15 @@ def _cache_dir() -> str | None:
     return os.environ.get("SCHUBERT_CACHE_DIR")
 
 
+DISK_FORMAT = 2  # raise it when the normal form or the document format changes
+
+
 def _disk_key(key) -> str:
-    blob = json.dumps(key, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """The file stem of a (flavor, window, kind) key, e.g. ``v2_BC_2_-1_double``.
+    Flavor and kind hold no underscore, so distinct keys get distinct stems,
+    and an entry written under another DISK_FORMAT is never read."""
+    flavor, window, kind = key
+    return "_".join((f"v{DISK_FORMAT}", flavor, *map(str, window), kind))
 
 
 def _disk_load(key):

@@ -7,19 +7,23 @@ parse(render(doc)) reproduces the document bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .polyring import Dyadic
 from .gammaring import GammaElement
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class PolynomialDocument:
-    family: str
-    terms: list  # [[coeff string, [subscripts], [x exps], [y exps]], ...]
-    metadata: dict = field(default_factory=dict)
+class PolynomialDocument(Record):
+    """``terms`` is [[coeff string, [subscripts], [x exps], [y exps]], ...]."""
+
+    __slots__ = ("family", "terms", "metadata")
+    __hash__ = None
+
+    def __init__(self, family: str, terms: list, metadata: dict | None = None):
+        self.family, self.terms = family, terms
+        self.metadata = {} if metadata is None else metadata
 
     def to_json_obj(self) -> dict:
         return {

@@ -12,8 +12,9 @@ in every flavor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+
+from ._record import Record
 
 
 def _trim_window(window: tuple[int, ...]) -> tuple[int, ...]:
@@ -23,24 +24,25 @@ def _trim_window(window: tuple[int, ...]) -> tuple[int, ...]:
     return window[:k]
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(Record):
     """A signed permutation in window notation, tagged with its flavor."""
 
-    window: tuple[int, ...]
-    flavor: str = "BC"
+    __slots__ = ("window", "flavor")
 
-    def __post_init__(self):
-        w = _trim_window(tuple(self.window))
-        object.__setattr__(self, "window", w)
-        if self.flavor not in ("A", "BC", "D"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+    def __init__(self, window: tuple[int, ...], flavor: str = "BC"):
+        self.window = w = _trim_window(tuple(window))
+        self.flavor = flavor
+        if flavor not in ("A", "BC", "D"):
+            raise ValueError(f"unknown flavor {flavor!r}")
         if sorted(abs(a) for a in w) != list(range(1, len(w) + 1)):
             raise ValueError(f"bad window {w}")
-        if self.flavor == "A" and any(a < 0 for a in w):
+        if flavor == "A" and any(a < 0 for a in w):
             raise ValueError("type A windows have no barred entries")
-        if self.flavor == "D" and sum(1 for a in w if a < 0) % 2:
+        if flavor == "D" and sum(1 for a in w if a < 0) % 2:
             raise ValueError("type D needs evenly many bars")
+
+    def __hash__(self):
+        return hash((self.window, self.flavor))
 
     # -- basic structure ---------------------------------------------------
 
@@ -208,15 +210,13 @@ class SignedPermutation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShapeData:
+class ShapeData(Record):
     """The statistics (mu, gamma, delta, nu, lambda) of a signed permutation."""
 
-    mu: tuple[int, ...]
-    gamma: tuple[int, ...]
-    delta: tuple[int, ...]
-    nu: tuple[int, ...]
-    lam: tuple[int, ...]
+    __slots__ = ("mu", "gamma", "delta", "nu", "lam")
+
+    def __init__(self, mu, gamma, delta, nu, lam):
+        self.mu, self.gamma, self.delta, self.nu, self.lam = mu, gamma, delta, nu, lam
 
 
 def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -330,15 +330,13 @@ def flip_first_sign(w: SignedPermutation) -> SignedPermutation:
     return SignedPermutation(tuple(win), w.flavor)
 
 
-@dataclass(frozen=True)
-class TypedPartition:
+class TypedPartition(Record):
     """An n-strict partition with a type marker (type D bookkeeping)."""
 
-    parts: tuple[int, ...]
-    n: int
-    ptype: int = 0
+    __slots__ = ("parts", "n", "ptype")
 
-    def __post_init__(self):
+    def __init__(self, parts: tuple[int, ...], n: int, ptype: int = 0):
+        self.parts, self.n, self.ptype = parts, n, ptype
         p = self.parts
         if any(p[i] < p[i + 1] for i in range(len(p) - 1)) or any(q <= 0 for q in p):
             raise ValueError(f"{p} is not a partition")
@@ -464,18 +462,17 @@ def enumerate_grassmannian(n: int, flavor: str, max_length: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitionData:
-    """One step of the transition recursion at w."""
+class TransitionData(Record):
+    """One step of the transition recursion at w: r, s, v = w t_rs, the two
+    branch tuples, and the linear factor x_r - v(y_r) with v(y_r) =
+    y_sign * y_{y_index}."""
 
-    r: int
-    s: int
-    v: SignedPermutation
-    plain_branch: tuple[SignedPermutation, ...]
-    bar_branch: tuple[SignedPermutation, ...]
-    # the linear factor x_r - v(y_r), as (r, sign, index) with v(y_r) = sign*y_index
-    y_sign: int
-    y_index: int
+    __slots__ = ("r", "s", "v", "plain_branch", "bar_branch", "y_sign", "y_index")
+
+    def __init__(self, r, s, v, plain_branch, bar_branch, y_sign, y_index):
+        self.r, self.s, self.v = r, s, v
+        self.plain_branch, self.bar_branch = plain_branch, bar_branch
+        self.y_sign, self.y_index = y_sign, y_index
 
 
 def transition_data(w: SignedPermutation, flavor: str | None = None) -> TransitionData:

@@ -221,15 +221,20 @@ def test_disk_cache_non_document_entry_is_a_miss(damage, tmp_path, monkeypatch, 
     _check_damaged_entry_is_a_miss(damage, tmp_path, monkeypatch, capsys)
 
 
-def _run_optimized(*args):
-    """Run python -O with the package under test importable."""
+def _run_python(*args):
+    """Run python with the package under test importable."""
     import schubring
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(schubring.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
-        [sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def _run_optimized(*args):
+    """Run python -O with the package under test importable."""
+    return _run_python("-O", *args)
 
 
 @pytest.mark.parametrize("window", ["[2,2]", "[-1,3]", "[0,1]"])
@@ -280,3 +285,84 @@ def test_pfaffian_check_survives_optimize():
     ))
     assert proc.returncode == 1, (proc.stdout, proc.stderr)
     assert "FAIL pfaffian-props/BC-m3-n0" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("--theta", "-1", "1"),
+    ("--eta", "-1", "1", "0"),
+    ("--lie-type", "C", "--w", "[2,-1]", "--restrict", "-1"),
+])
+def test_compute_rejects_negative_level_or_restrict(args, capsys):
+    code, out, err = run_cli("compute", *args, capsys=capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "nonnegative" in err
+    proc = _run_optimized("-m", "schubring.cli", "compute", *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+
+@pytest.mark.parametrize("lie_type, window, basis", [("C", "[-1]", "eta"), ("D", "[-2,-1]", "theta")])
+def test_expand_rejects_other_family_before_work(lie_type, window, basis, tmp_path, monkeypatch,
+                                                 capsys):
+    from schubring import schubert as sch
+
+    code, out, _ = run_cli("compute", "--lie-type", lie_type, "--w", window, capsys=capsys)
+    assert code == 0
+    path = tmp_path / "f.json"
+    path.write_text(out)
+    args = ("expand", "--in", str(path), "--basis", basis, "--n", "1")
+    monkeypatch.setattr(sch, "theta_expand", lambda *a: pytest.fail("expansion ran"))
+    code, out, err = run_cli(*args, capsys=capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and f"--basis {basis}" in err
+    proc = _run_optimized("-m", "schubring.cli", *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+
+def test_disk_cache_entry_under_old_name_is_a_miss(tmp_path, monkeypatch, capsys):
+    import hashlib
+
+    from schubring import schubert as sch
+
+    # the sha256 file name of earlier versions, holding a wrong value
+    key = ("BC", (2, -1), "double")
+    old = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
+    (tmp_path / (old + ".json")).write_text(render_document(gamma_to_document(GammaElement.const(7))))
+    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
+    code, out, _ = run_cli("compute", "--lie-type", "C", "--w", "[2,-1]", "--double", capsys=capsys)
+    assert code == 0
+    monkeypatch.delenv("SCHUBERT_CACHE_DIR")
+    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
+    assert run_cli("compute", "--lie-type", "C", "--w", "[2,-1]", "--double", capsys=capsys)[1] == out
+    assert sch._disk_key(key) == "v2_BC_2_-1_double"
+    assert (tmp_path / "v2_BC_2_-1_double.json").exists()
+
+
+def test_suite_names_match_verify_suites(capsys):
+    from schubring import cli, verify
+
+    assert sorted(cli.SUITE_NAMES) == sorted(verify.SUITES)
+    code, out, _ = run_cli("verify", "--suite", "no-such-suite", capsys=capsys)
+    assert (code, out) == (2, "")
+
+
+def test_lean_import():
+    import schubring
+
+    proc = _run_python("-c", (
+        "import schubring.cli, sys\n"
+        "unused = ('dataclasses', 'hashlib', 'fractions', 'schubring.verify')\n"
+        "print(sorted(m for m in unused if m in sys.modules))\n"
+        "print(sorted(m[10:] for m in sys.modules if m.startswith('schubring.')))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    absent, loaded = proc.stdout.splitlines()
+    assert absent == "[]"
+    for name in ("polyring", "gammaring", "raising", "schubert", "invariants", "weyl", "serialize"):
+        # bench/tracer.py wraps these modules only when this import loads them
+        assert repr(name) in loaded, name
+    src = os.path.dirname(os.path.abspath(schubring.__file__))
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                assert "dataclass" not in fh.read(), name
