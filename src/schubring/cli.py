@@ -54,6 +54,10 @@ def cmd_compute(args) -> int:
         raise PreconditionError("the level n must be nonnegative")
     if args.restrict is not None and args.restrict < 0:
         raise PreconditionError("--restrict must be nonnegative")
+    if args.eta is not None and args.eta[0] < 1:
+        raise PreconditionError(f"--eta needs a level n >= 1, not {args.eta[0]}")
+    # types B and D, eta polynomials and hatted Pfaffians are written in the b basis
+    family = "c"
     meta = {}
     if args.w is not None:
         flavor = {"A": "A", "B": "BC", "C": "BC", "D": "D"}[args.lie_type]
@@ -65,6 +69,8 @@ def cmd_compute(args) -> int:
             w = SignedPermutation(window, flavor)
         except ValueError as e:
             raise PreconditionError(str(e))
+        if args.lie_type in "BD":
+            family = "b"
         if args.lie_type == "B":
             val = sch.schubert_b(w, double=args.double)
             if args.method == "both":
@@ -100,6 +106,7 @@ def cmd_compute(args) -> int:
         except ValueError as e:
             raise PreconditionError(str(e))
         val = raising.eta(n, typed, double=args.double)
+        family = "b"
         if args.restrict is not None:
             val = val.restrict_vars(args.restrict)
         meta["key"] = {"eta": [n, list(lam), ptype], "double": args.double, "restrict": args.restrict}
@@ -108,6 +115,8 @@ def cmd_compute(args) -> int:
         if not (len(rho) == len(beta) == len(alpha)):
             raise PreconditionError("rho, beta, alpha must have equal lengths")
         spec = raising.PfaffianSpec(rho, beta, alpha, args.hatted, args.hatted)
+        if args.hatted:
+            family = "b"
         try:
             val = raising.multi_schur_pfaffian(spec)
         except ArithmeticError as e:
@@ -116,9 +125,9 @@ def cmd_compute(args) -> int:
         meta["key"] = {"pfaffian": [list(rho), list(beta), list(alpha)], "hatted": args.hatted}
     else:
         raise PreconditionError("nothing to compute: pass --w, --theta, --eta or --pfaffian")
-    doc = gamma_to_document(val, metadata=meta)
+    doc = gamma_to_document(val, family, meta)
     if args.latex:
-        print(gamma_to_latex(val))
+        print(gamma_to_latex(val, family))
     else:
         sys.stdout.write(render_document(doc))
     return 0
@@ -126,16 +135,17 @@ def cmd_compute(args) -> int:
 
 def cmd_expand(args) -> int:
     with open(args.infile) as fh:
-        f = document_to_gamma(parse_document(fh.read()))
+        doc = parse_document(fh.read())
+    f = document_to_gamma(doc)
     if f.max_yvar() and args.basis in ("schubert-single", "theta", "eta"):
         print("input has y variables; single bases need a y-free element", file=sys.stderr)
         return 3
-    family = {"theta": "c", "eta": "b"}.get(args.basis, f.family)
-    if f.family != family:
-        raise PreconditionError(f"--basis {args.basis} needs a family {family} element, not {f.family}")
-    flavor = "D" if args.basis == "eta" else "BC"
+    family = {"theta": "c", "eta": "b"}.get(args.basis, doc.family)
+    if doc.family != family:
+        raise PreconditionError(f"--basis {args.basis} needs a family {family} element, not {doc.family}")
+    flavor = "D" if family == "b" else "BC"
     if args.basis == "schubert-single":
-        coeffs = sch.schubert_expand_single(f, flavor="BC" if f.family == "c" else "D")
+        coeffs = sch.schubert_expand_single(f, flavor)
         table = {("[" + ",".join(str(a) for a in win) + "]"): c for win, c in coeffs.items()}
     else:
         n = args.n

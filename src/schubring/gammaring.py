@@ -1,18 +1,24 @@
-"""The rings Gamma = Z[c]/(relations) and Gamma' = Z[b]/(relations), tensored
-with polynomial variables x_i, y_i.
+"""The ring Gamma = Z[c]/(relations), tensored with polynomial variables
+x_i, y_i.
 
-Elements are kept in normal form: every c_lambda / b_lambda monomial has a
-strictly decreasing subscript tuple.  Monomials with repeated subscripts are
-rewritten confluently using the defining quadratic relations
+Elements are kept in normal form: every c_lambda monomial has a strictly
+decreasing subscript tuple.  Monomials with repeated subscripts are
+rewritten confluently using the defining quadratic relation
 
     c_p^2 + 2 sum_{i=1}^p (-1)^i c_{p+i} c_{p-i} = 0,
-    b_p^2 + 2 sum_{i=1}^{p-1} (-1)^i b_{p+i} b_{p-i} + (-1)^p b_{2p} = 0,
 
 so equality of elements is equality of term dictionaries.  The rewriting is
 cross-checked against an independent model that is faithful in every degree:
 Gamma (x) Q = Q[p_1, p_3, p_5, ...], with c_p sent to the Schur Q-function
 q_p written in odd power sums (Macdonald, Symmetric Functions and Hall
 Polynomials, III.8).
+
+The type D ring Gamma' = Z[b]/(relations) is Gamma with b_p = c_p / 2: over
+Q, P_lambda = 2^{-l(lambda)} Q_lambda (Macdonald III.8), and substituting
+b_p = c_p / 2 into the b relation and multiplying by 4 gives the c relation.
+So type B and D elements are kept in the c basis too, with dyadic
+coefficients; only ``serialize`` lists them in the b basis, where
+c_lambda = 2^{l(lambda)} b_lambda.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .polyring import (
 
 
 @lru_cache(maxsize=None)
-def _strictify(family: str, parts: tuple[int, ...]) -> tuple:
+def _strictify(parts: tuple[int, ...]) -> tuple:
     """Rewrite a weakly decreasing subscript tuple into the strict basis.
 
     Returns a tuple of (strict_parts, integer_coefficient) pairs.  Parts are
@@ -51,20 +57,16 @@ def _strictify(family: str, parts: tuple[int, ...]) -> tuple:
     rest.remove(rep)
     rest.remove(rep)
     out: dict = {}
-    for a, b, coeff in _square_relation(family, rep):
+    for a, b, coeff in _square_relation(rep):
         new = tuple(sorted(rest + ([a, b] if b > 0 else [a]), reverse=True))
-        for strict, c2 in _strictify(family, new):
+        for strict, c2 in _strictify(new):
             out[strict] = out.get(strict, 0) + coeff * c2
     return tuple((k, v) for k, v in out.items() if v)
 
 
-def _square_relation(family: str, p: int) -> list[tuple[int, int, int]]:
-    """c_p^2 (resp. b_p^2) as a combination of (a, b, coeff) with a > p > b >= 0."""
-    if family == "c":
-        return [(p + i, p - i, 2 * (-1) ** (i + 1)) for i in range(1, p + 1)]
-    terms = [(p + i, p - i, 2 * (-1) ** (i + 1)) for i in range(1, p)]
-    terms.append((2 * p, 0, (-1) ** (p + 1)))
-    return terms
+def _square_relation(p: int) -> list[tuple[int, int, int]]:
+    """c_p^2 as a combination of (a, b, coeff) with a > p > b >= 0."""
+    return [(p + i, p - i, 2 * (-1) ** (i + 1)) for i in range(1, p + 1)]
 
 
 def _add_into(out: dict, terms: dict, scale=1) -> dict:
@@ -87,41 +89,39 @@ def _add_into(out: dict, terms: dict, scale=1) -> dict:
 
 
 class GammaElement:
-    """An element of Gamma[X, Y] (family 'c') or Gamma'[X, Y] (family 'b').
+    """An element of Gamma[X, Y].
 
     terms maps (subscripts, x-exponents, y-exponents) to a Dyadic coefficient,
     with the subscript tuple strictly decreasing.  Treated as immutable.
     """
 
-    __slots__ = ("family", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, family: str, terms: dict | None = None):
-        assert family in ("c", "b")
-        self.family = family
+    def __init__(self, terms: dict | None = None):
         self.terms = terms if terms is not None else {}
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(family: str = "c") -> "GammaElement":
-        return GammaElement(family)
+    def zero() -> "GammaElement":
+        return GammaElement()
 
     @staticmethod
-    def const(c, family: str = "c") -> "GammaElement":
+    def const(c) -> "GammaElement":
         c = Dyadic(c) if isinstance(c, int) else c
-        return GammaElement(family, {((), (), ()): c} if c else {})
+        return GammaElement({((), (), ()): c} if c else {})
 
     @staticmethod
-    def generator(p: int, family: str = "c") -> "GammaElement":
-        """c_p or b_p, with subscript 0 meaning 1 and negative meaning 0."""
+    def generator(p: int) -> "GammaElement":
+        """c_p, with subscript 0 meaning 1 and negative meaning 0."""
         if p < 0:
-            return GammaElement(family)
+            return GammaElement()
         if p == 0:
-            return GammaElement.const(1, family)
-        return GammaElement(family, {((p,), (), ()): D_ONE})
+            return GammaElement.const(1)
+        return GammaElement({((p,), (), ()): D_ONE})
 
     @staticmethod
-    def from_raw(family: str, raw_terms) -> "GammaElement":
+    def from_raw(raw_terms) -> "GammaElement":
         """Normalize a list of (subscript multiset, x-exps, y-exps, coeff).
 
         Subscripts may repeat and may be <= 0 (0 is dropped, negative kills
@@ -136,80 +136,61 @@ class GammaElement:
             if subs and subs[-1] < 0:
                 continue
             key_x, key_y = _trim(tuple(xk)), _trim(tuple(yk))
-            for strict, mult in _strictify(family, subs):
+            for strict, mult in _strictify(subs):
                 k = (strict, key_x, key_y)
                 s = out.get(k, D_ZERO) + coeff * mult
                 if s:
                     out[k] = s
                 elif k in out:
                     del out[k]
-        return GammaElement(family, out)
+        return GammaElement(out)
 
     @staticmethod
-    def from_poly(poly: SparsePoly, family: str = "c") -> "GammaElement":
+    def from_poly(poly: SparsePoly) -> "GammaElement":
         """Embed a plain polynomial in x and y."""
-        return GammaElement(family, {((), xk, yk): c for (xk, yk), c in poly.terms.items()})
+        return GammaElement({((), xk, yk): c for (xk, yk), c in poly.terms.items()})
 
     @staticmethod
-    def monomial(xk=(), yk=(), family: str = "c") -> "GammaElement":
+    def monomial(xk=(), yk=()) -> "GammaElement":
         assert all(e >= 0 for e in xk) and all(e >= 0 for e in yk)
-        return GammaElement(family, {((), _trim(tuple(xk)), _trim(tuple(yk))): D_ONE})
+        return GammaElement({((), _trim(tuple(xk)), _trim(tuple(yk))): D_ONE})
 
     # -- ring operations ------------------------------------------------------
 
-    def _check(self, other: "GammaElement"):
-        if self.family != other.family:
-            raise ValueError(
-                f"cannot mix families {self.family!r} and {other.family!r}"
-            )
-
     def __add__(self, other: "GammaElement") -> "GammaElement":
-        self._check(other)
-        return GammaElement(self.family, _add_into(dict(self.terms), other.terms))
+        return GammaElement(_add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other: "GammaElement") -> "GammaElement":
         return self + (-other)
 
     def __neg__(self) -> "GammaElement":
-        return GammaElement(self.family, {k: -c for k, c in self.terms.items()})
+        return GammaElement({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other) -> "GammaElement":
         if isinstance(other, (int, Dyadic)):
             c = Dyadic(other) if isinstance(other, int) else other
             if not c:
-                return GammaElement(self.family)
-            return GammaElement(self.family, {k: v * c for k, v in self.terms.items()})
-        self._check(other)
+                return GammaElement()
+            return GammaElement({k: v * c for k, v in self.terms.items()})
         out: dict = {}
         for (s1, x1, y1), c1 in self.terms.items():
             for (s2, x2, y2), c2 in other.terms.items():
                 subs = tuple(sorted(s1 + s2, reverse=True))
                 xk, yk = _madd(x1, x2), _madd(y1, y2)
                 c = c1 * c2
-                for strict, mult in _strictify(self.family, subs):
+                for strict, mult in _strictify(subs):
                     k = (strict, xk, yk)
                     s = out.get(k, D_ZERO) + c * mult
                     if s:
                         out[k] = s
                     elif k in out:
                         del out[k]
-        return GammaElement(self.family, out)
+        return GammaElement(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "GammaElement":
-        assert n >= 0
-        out = GammaElement.const(1, self.family)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GammaElement)
-            and self.family == other.family
-            and self.terms == other.terms
-        )
+        return isinstance(other, GammaElement) and self.terms == other.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -251,7 +232,7 @@ class GammaElement:
         for (subs, xk, yk), c in self.sorted_terms():
             mono = ""
             if subs:
-                mono += f"{self.family}{list(subs)}"
+                mono += f"c{list(subs)}"
             for name, key in (("x", xk), ("y", yk)):
                 for i, e in enumerate(key):
                     if e:
@@ -266,24 +247,20 @@ class GammaElement:
     def restrict_vars(self, n: int) -> "GammaElement":
         """Set x_j = y_j = 0 for j > n (the primed polynomial)."""
         return GammaElement(
-            self.family,
             {
                 k: c
                 for k, c in self.terms.items()
                 if len(k[1]) <= n and len(k[2]) <= n
-            },
+            }
         )
 
     def set_y_zero(self) -> "GammaElement":
-        return GammaElement(
-            self.family, {k: c for k, c in self.terms.items() if not k[2]}
-        )
+        return GammaElement({k: c for k, c in self.terms.items() if not k[2]})
 
     def negate_x(self) -> "GammaElement":
         """Substitute x_i -> -x_i for all i."""
         return GammaElement(
-            self.family,
-            {k: (c if sum(k[1]) % 2 == 0 else -c) for k, c in self.terms.items()},
+            {k: (c if sum(k[1]) % 2 == 0 else -c) for k, c in self.terms.items()}
         )
 
     def permute_x(self, w) -> "GammaElement":
@@ -309,7 +286,7 @@ class GammaElement:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return GammaElement(self.family, out)
+        return GammaElement(out)
 
     def omega(self) -> "GammaElement":
         """The involution x_j -> -y_j, y_j -> -x_j, fixing the generators."""
@@ -317,14 +294,7 @@ class GammaElement:
         for (subs, xk, yk), c in self.terms.items():
             sign = (-1) ** ((sum(xk) + sum(yk)) % 2)
             out[(subs, yk, xk)] = c * sign
-        return GammaElement(self.family, out)
-
-    def with_family(self, family: str) -> "GammaElement":
-        """Relabel a generator-free element into the other coefficient ring."""
-        if family == self.family:
-            return self
-        assert all(not s for s, _, _ in self.terms), "element has generator content"
-        return GammaElement(family, dict(self.terms))
+        return GammaElement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -338,29 +308,25 @@ def _s0_image(p: int) -> GammaElement:
     raw = [((p,), (), (), 1)]
     for j in range(1, p + 1):
         raw.append(([p - j], (j,), (), 2))
-    return GammaElement.from_raw("c", raw)
+    return GammaElement.from_raw(raw)
 
 
 @lru_cache(maxsize=None)
 def _sbox_image(p: int) -> GammaElement:
-    """s_box(b_p) = b_p + (x1+x2) sum_{j=0}^{p-1} h_j(x1,x2) c_{p-1-j}."""
-    acc = GammaElement.generator(p, "b")
-    lin = GammaElement.from_poly(
-        SparsePoly.var("x", 1) + SparsePoly.var("x", 2), "b"
-    )
-    total = GammaElement.zero("b")
+    """s_box(c_p) = c_p + 2 (x1+x2) sum_{j=0}^{p-1} h_j(x1,x2) c_{p-1-j}."""
+    lin = GammaElement.from_poly(SparsePoly.var("x", 1) + SparsePoly.var("x", 2))
+    total = GammaElement.zero()
     for j in range(0, p):
-        hj = GammaElement.from_poly(complete_sym(2, j, "x"), "b")
-        q = p - 1 - j
-        cq = GammaElement.generator(q, "b") * (2 if q >= 1 else 1)
-        total = total + hj * cq
-    return acc + lin * total
+        hj = GammaElement.from_poly(complete_sym(2, j, "x"))
+        total = total + hj * GammaElement.generator(p - 1 - j)
+    return GammaElement.generator(p) + lin * total * 2
 
 
-def act_generator(i: int, f: GammaElement) -> GammaElement:
-    """Apply the simple reflection s_i to f (ring action, y fixed).
+def act_generator(i: int, f: GammaElement, flavor: str = "BC") -> GammaElement:
+    """Apply the simple reflection s_i of the flavor's Weyl group to f (ring
+    action, y fixed).
 
-    Index 0 means s_0 on family 'c' and the branch reflection on family 'b'.
+    Index 0 means s_0 in flavor BC and the branch reflection in flavor D.
     """
     if i >= 1:
         out: dict = {}
@@ -373,37 +339,36 @@ def act_generator(i: int, f: GammaElement) -> GammaElement:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return GammaElement(f.family, out)
-    # s_0 (family 'c'): x_1 -> -x_1; branch node (family 'b'): (x1, x2) ->
+        return GammaElement(out)
+    # s_0 (flavor BC): x_1 -> -x_1; branch node (flavor D): (x1, x2) ->
     # (-x2, -x1).  Terms are grouped by subscript tuple; the group's
     # generator image is y-free and built once, and every term's moved
     # monomial is spread over it before the next group's image is built.
-    image = _s0_image if f.family == "c" else _sbox_image
+    branch = flavor == "D"
+    image = _sbox_image if branch else _s0_image
     groups: dict = {}
     for (subs, xk, yk), c in f.terms.items():
         groups.setdefault(subs, []).append((xk, yk, c))
     out: dict = {}
     for subs, monos in groups.items():
-        img = GammaElement.const(1, f.family)
+        img = GammaElement.const(1)
         for p in subs:
             img = img * image(p)
         for xk, yk, c in monos:
             a1, a2 = (xk + (0, 0))[:2]
             odd = a1 % 2
-            if f.family == "b":
+            if branch:
                 xk = _trim((a2, a1) + xk[2:])
                 odd = (a1 + a2) % 2
             moved = {(s2, _madd(xk, x2), yk): c2 for (s2, x2, _), c2 in img.terms.items()}
             _add_into(out, moved, -c if odd else c)
-    return GammaElement(f.family, out)
+    return GammaElement(out)
 
 
 def weyl_act(w, f: GammaElement) -> GammaElement:
-    """Apply a group element (or an int generator index) to f."""
-    if isinstance(w, int):
-        return act_generator(w, f)
+    """Apply a group element to f."""
     for i in reversed(w.reduced_word()):
-        f = act_generator(i, f)
+        f = act_generator(i, f, w.flavor)
     return f
 
 
@@ -413,42 +378,36 @@ def weyl_act(w, f: GammaElement) -> GammaElement:
 
 
 @lru_cache(maxsize=None)
-def c_entry(k: int, kprime: int, p: int, family: str = "c") -> GammaElement:
-    """{}^k c^{k'}_p = sum_{i,j} c_{p-j-i} h^{-k}_i(X) h^{k'}_j(-Y).
-
-    In family 'b' the c generators are replaced by their images 2 b_q.
-    """
+def c_entry(k: int, kprime: int, p: int) -> GammaElement:
+    """{}^k c^{k'}_p = sum_{i,j} c_{p-j-i} h^{-k}_i(X) h^{k'}_j(-Y)."""
     if p < 0:
-        return GammaElement.zero(family)
-    out = GammaElement.zero(family)
+        return GammaElement.zero()
+    out = GammaElement.zero()
     for i in range(0, p + 1):
         hx = complete_sym(-k, i, "x")
         if not hx:
             continue
-        hxe = GammaElement.from_poly(hx, family)
+        hxe = GammaElement.from_poly(hx)
         for j in range(0, p - i + 1):
             hy = complete_sym(kprime, j, "-y")
             if not hy:
                 continue
-            q = p - i - j
-            gen = GammaElement.generator(q, family)
-            if family == "b" and q >= 1:
-                gen = gen * 2
-            out = out + gen * hxe * GammaElement.from_poly(hy, family)
+            gen = GammaElement.generator(p - i - j)
+            out = out + gen * hxe * GammaElement.from_poly(hy)
     return out
 
 
 @lru_cache(maxsize=None)
-def _hat_correction(k: int, m: int, fsign: int, family: str = "b") -> GammaElement:
+def _hat_correction(k: int, m: int, fsign: int) -> GammaElement:
     """fsign * e^k_k(X) e^m_m(-Y) as a ring element."""
     if fsign == 0 or m < 0 or k < 0:
-        return GammaElement.zero(family)
+        return GammaElement.zero()
     ex = elem_sym(k, k, "x") if k > 0 else SparsePoly.const(1)
     ey = elem_sym(m, m, "-y") if m > 0 else SparsePoly.const(1)
-    return GammaElement.from_poly(ex * ey, family) * fsign
+    return GammaElement.from_poly(ex * ey) * fsign
 
 
-def c_hat_entry(k: int, kprime: int, p: int, fsign: int, family: str = "b") -> GammaElement:
+def c_hat_entry(k: int, kprime: int, p: int, fsign: int) -> GammaElement:
     """{}^k chat^{k'}_p: the plain entry plus fsign * e_k(X) e_{p-k}(-Y) on
     the diagonal k' = k - p <= 0.
 
@@ -456,9 +415,9 @@ def c_hat_entry(k: int, kprime: int, p: int, fsign: int, family: str = "b") -> G
     fsign * e_k(X); keeping it is what makes the Pfaffian formulas match the
     Schubert polynomials on rows with vanishing back index.
     """
-    base = c_entry(k, kprime, p, family)
+    base = c_entry(k, kprime, p)
     if kprime == k - p and kprime <= 0 and p >= 0:
-        base = base + _hat_correction(k, p - k, fsign, family)
+        base = base + _hat_correction(k, p - k, fsign)
     return base
 
 
@@ -468,9 +427,9 @@ def c_hat_entry(k: int, kprime: int, p: int, fsign: int, family: str = "b") -> G
 
 
 @lru_cache(maxsize=None)
-def level_c(n: int, p: int, family: str = "c") -> GammaElement:
+def level_c(n: int, p: int) -> GammaElement:
     """{}^n c_p = sum_j c_{p-j} e_j(X_n) (the single-variable level-n generator)."""
-    return c_entry(n, 0, p, family)
+    return c_entry(n, 0, p)
 
 
 @lru_cache(maxsize=None)
@@ -479,53 +438,37 @@ def level_c_double(n: int, p: int) -> GammaElement:
     return c_entry(n, n, p)
 
 
+def _b(q: int) -> GammaElement:
+    """The type D generator b_q = c_q / 2, for q >= 1."""
+    return GammaElement.generator(q) * Dyadic(1, 1)
+
+
 @lru_cache(maxsize=None)
 def level_b(n: int, p: int) -> GammaElement:
-    """{}^n b_p in Gamma'[X_n] by its defining sum."""
-    if p < n:
-        out = GammaElement.from_poly(elem_sym(n, p, "x"), "b")
-        for j in range(0, p):
-            out = out + GammaElement.generator(p - j, "b") * GammaElement.from_poly(
-                elem_sym(n, j, "x"), "b"
-            ) * 2
-        return out
-    out = GammaElement.zero("b")
-    for j in range(0, p + 1):
-        out = out + GammaElement.generator(p - j, "b") * GammaElement.from_poly(
-            elem_sym(n, j, "x"), "b"
-        )
+    """{}^n b_p = sum_j b_{p-j} e_j(X_n) (b_0 = 1), with every b_q, q >= 1,
+    doubled when p < n."""
+    out = GammaElement.from_poly(elem_sym(n, p, "x"))
+    for j in range(0, p):
+        out = out + _b(p - j) * GammaElement.from_poly(elem_sym(n, j, "x")) * (2 if p < n else 1)
     return out
 
 
 @lru_cache(maxsize=None)
 def level_b_prime(n: int) -> GammaElement:
     """{}^n b'_n = sum_{j<n} b_{n-j} e_j(X_n)."""
-    out = GammaElement.zero("b")
+    out = GammaElement.zero()
     for j in range(0, n):
-        out = out + GammaElement.generator(n - j, "b") * GammaElement.from_poly(
-            elem_sym(n, j, "x"), "b"
-        )
+        out = out + _b(n - j) * GammaElement.from_poly(elem_sym(n, j, "x"))
     return out
 
 
 @lru_cache(maxsize=None)
 def btilde(n: int) -> GammaElement:
     """btilde_n = sum_{j<n} b_{n-j} e_j(-Y_n), a kernel generator in type D."""
-    out = GammaElement.zero("b")
+    out = GammaElement.zero()
     for j in range(0, n):
-        out = out + GammaElement.generator(n - j, "b") * GammaElement.from_poly(
-            elem_sym(n, j, "-y"), "b"
-        )
+        out = out + _b(n - j) * GammaElement.from_poly(elem_sym(n, j, "-y"))
     return out
-
-
-def c_to_b(f: GammaElement) -> GammaElement:
-    """The embedding Gamma -> Gamma' sending c_p to 2 b_p."""
-    assert f.family == "c"
-    out = {}
-    for (subs, xk, yk), c in f.terms.items():
-        out[(subs, xk, yk)] = c.times_pow2(len(subs))
-    return GammaElement("b", out)
 
 
 # ---------------------------------------------------------------------------
@@ -559,19 +502,18 @@ def _q_in_power_sums(p: int) -> dict:
 
 def oracle_embed(f: GammaElement) -> dict:
     """The image of f in the power-sum model (see oracle_raw_embed)."""
-    return oracle_raw_embed(f.family, [(s, x, y, c) for (s, x, y), c in f.terms.items()])
+    return oracle_raw_embed([(s, x, y, c) for (s, x, y), c in f.terms.items()])
 
 
-def oracle_raw_embed(family: str, raw_terms) -> dict:
+def oracle_raw_embed(raw_terms) -> dict:
     """Embed a raw (un-normalized) list of (subscripts, x-exps, y-exps, coeff)
-    term by term: c_p -> q_p, b_p -> q_p / 2, x and y unchanged.
+    term by term: c_p -> q_p, x and y unchanged.
 
     The image is {(lam, xk, yk): Fraction} with lam a decreasing tuple of odd
     power-sum indices.  The model is faithful in every degree and applies no
     relation, so it checks the rewriting independently.
     """
     from fractions import Fraction
-    scale = Fraction(1, 2) if family == "b" else Fraction(1)
     out: dict = {}
     for subs, xk, yk, coeff in raw_terms:
         if any(p < 0 for p in subs):
@@ -585,7 +527,7 @@ def oracle_raw_embed(family: str, raw_terms) -> dict:
             for lam, a in piece.items():
                 for mu, b in q.items():
                     k = tuple(sorted(lam + mu, reverse=True))
-                    prod[k] = prod.get(k, 0) + a * b * scale
+                    prod[k] = prod.get(k, 0) + a * b
             piece = prod
         xk, yk = _trim(tuple(xk)), _trim(tuple(yk))
         for lam, c in piece.items():

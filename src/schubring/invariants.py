@@ -19,7 +19,6 @@ from .gammaring import (
     GammaElement,
     act_generator,
     btilde,
-    c_to_b,
     level_b,
     level_b_prime,
     level_c,
@@ -171,12 +170,12 @@ def generator_set(tag: str, n: int, max_degree: int) -> GeneratorSet:
     """Realize the generator families by their defining sums.
 
     tags: 'gamma' ({}^n c_p), 'gamma-hat' ({}^n c^n_p), 'B' (level-n b and
-    b'), 'B-hat' (btilde_n and the embedded {}^n c^n_p).
+    b'), 'B-hat' (btilde_n and {}^n c^n_p).
     """
     els = []
     if tag == "gamma":
         for p in range(1, max_degree + 1):
-            els.append((p, level_c(n, p, "c")))
+            els.append((p, level_c(n, p)))
     elif tag == "gamma-hat":
         for p in range(1, max_degree + 1):
             els.append((p, level_c_double(n, p)))
@@ -189,7 +188,7 @@ def generator_set(tag: str, n: int, max_degree: int) -> GeneratorSet:
         if n <= max_degree:
             els.append((n, btilde(n)))
         for p in range(1, max_degree + 1):
-            els.append((p, c_to_b(level_c_double(n, p))))
+            els.append((p, level_c_double(n, p)))
     else:
         raise ValueError(f"unknown generator tag {tag!r}")
     return GeneratorSet(tag, n, tuple(els))
@@ -200,7 +199,7 @@ def _monomial_multiples(g: GammaElement, n: int, d: int, with_y: bool) -> list:
     gdeg = g.degree()
     out = []
     for key in monomial_basis(n, d - gdeg, with_y):
-        m = GammaElement(g.family, {key: D_ONE})
+        m = GammaElement({key: D_ONE})
         out.append(m * g)
     return out
 
@@ -226,7 +225,7 @@ def gen_indices(n: int, flavor: str) -> list[int]:
 
 
 def check_invariance(f: GammaElement, n: int, flavor: str = "BC") -> bool:
-    return all(act_generator(i, f) == f for i in gen_indices(n, flavor))
+    return all(act_generator(i, f, flavor) == f for i in gen_indices(n, flavor))
 
 
 def invariant_basis_rank(n: int, d: int, flavor: str = "BC"):
@@ -236,14 +235,13 @@ def invariant_basis_rank(n: int, d: int, flavor: str = "BC"):
     theta (eta) polynomials of level n span the invariant subring.
     """
     basis = monomial_basis(n, d, with_y=False)
-    family = "c" if flavor == "BC" else "b"
     # invariants = kernel of f -> (s_i f - f)_i over the degree-d piece
     mat = []
     for key in basis:
-        m = GammaElement(family, {key: D_ONE})
+        m = GammaElement({key: D_ONE})
         row: list = []
         for i in gen_indices(n, flavor):
-            row.extend(to_vector(act_generator(i, m) - m, basis))
+            row.extend(to_vector(act_generator(i, m, flavor) - m, basis))
         mat.append(row)
     dim_inv = len(basis) - exact_rank(mat)
     span_vecs = [to_vector(t, basis) for t in _theta_family(n, d, flavor)]
@@ -274,7 +272,6 @@ def schubert_span_vectors(n: int, d: int, flavor: str, basis) -> list:
     """y-monomial multiples of the restricted Schubert polynomials indexed by
     the parabolic quotient minus the finite group, in degree d."""
     vecs = []
-    fam = "c" if flavor == "BC" else "b"
     for w in quotient_elements(flavor, n, d):
         if w.support <= n:
             continue
@@ -285,7 +282,7 @@ def schubert_span_vectors(n: int, d: int, flavor: str, basis) -> list:
                 ykey = tuple(yk)
                 while ykey and ykey[-1] == 0:
                     ykey = ykey[:-1]
-                m = GammaElement(fam, {((), (), ykey): D_ONE})
+                m = GammaElement({((), (), ykey): D_ONE})
                 vecs.append(to_vector(m * cs, basis))
     return vecs
 
@@ -327,7 +324,7 @@ def supersym_congruence(n: int, p: int | None = None, lam=None) -> dict:
     """Membership of c_p - (-1)^p e-hat_p (or Q_lambda - (-1)^|lambda|
     Qtilde_lambda(X_n/Y_n)) in the double generator ideal."""
     if lam is None:
-        v = GammaElement.generator(p, "c") - GammaElement.from_poly(
+        v = GammaElement.generator(p) - GammaElement.from_poly(
             supersym_e(p, n)
         ) * ((-1) ** (p % 2))
         d = p
@@ -361,7 +358,6 @@ def staircase_exponents(n: int) -> list[tuple[int, ...]]:
 
 def _module_basis_elements(n: int, flavor: str) -> list[tuple[int, GammaElement]]:
     """The free-module basis e_lambda(-X_n) x^alpha over the invariant ring."""
-    fam = "c" if flavor == "BC" else "b"
     top = n if flavor == "BC" else n - 1
     lams = [
         lam
@@ -371,11 +367,11 @@ def _module_basis_elements(n: int, flavor: str) -> list[tuple[int, GammaElement]
     ]
     out = []
     for lam in lams:
-        e = GammaElement.const(1, fam)
+        e = GammaElement.const(1)
         for p in lam:
-            e = e * GammaElement.from_poly(elem_sym(n, p, "x"), fam).negate_x()
+            e = e * GammaElement.from_poly(elem_sym(n, p, "x")).negate_x()
         for alpha in staircase_exponents(n):
-            mono = GammaElement.monomial(xk=alpha, family=fam)
+            mono = GammaElement.monomial(xk=alpha)
             g = e * mono
             out.append((g.degree(), g))
     return out
@@ -413,7 +409,6 @@ def free_module_certificate(n: int, flavor: str = "BC", max_d: int = 6) -> dict:
 def dual_basis_orthogonality(n: int, flavor: str = "BC") -> dict:
     """The full orthogonality matrix of the product basis against its stated
     dual, under the longest-element scalar product."""
-    fam = "c" if flavor == "BC" else "b"
     top = n if flavor == "BC" else n - 1
     lams = [
         lam
@@ -428,32 +423,24 @@ def dual_basis_orthogonality(n: int, flavor: str = "BC") -> dict:
     for lam in lams:
         for u in perms:
             if flavor == "BC":
-                qa = GammaElement.from_poly(raising.qtilde(lam, n, signed=True), fam)
+                qa = GammaElement.from_poly(raising.qtilde(lam, n, signed=True))
             else:
-                qa = GammaElement.from_poly(raising.ptilde(lam, n, signed=True), fam)
-            f = qa * sch.schubert_poly(u.with_flavor("A"), "A", double=False).with_family(fam)
+                qa = GammaElement.from_poly(raising.ptilde(lam, n, signed=True))
+            f = qa * sch.schubert_poly(u.with_flavor("A"), "A", double=False)
             for mu in lams:
                 comp = tuple(sorted((set(delta) - set(mu)), reverse=True))
                 if len(mu) + len(comp) != top or set(mu) | set(comp) != set(delta):
                     continue
                 for up in perms:
                     if flavor == "BC":
-                        qb = GammaElement.from_poly(
-                            raising.qtilde(comp, n, signed=True), fam
-                        )
+                        qb = GammaElement.from_poly(raising.qtilde(comp, n, signed=True))
                     else:
-                        qb = GammaElement.from_poly(
-                            raising.ptilde(comp, n, signed=True), fam
-                        )
-                    a2 = sch.schubert_poly(
-                        (up * p0).with_flavor("A"), "A", double=False
-                    ).with_family(fam)
+                        qb = GammaElement.from_poly(raising.ptilde(comp, n, signed=True))
+                    a2 = sch.schubert_poly((up * p0).with_flavor("A"), "A", double=False)
                     g = qb * a2.negate_x().permute_x(p0)
                     val = sch.scalar_product(f, g, n, flavor, "full")
                     expected = (
-                        GammaElement.const(1, fam)
-                        if (u == up and lam == mu)
-                        else GammaElement.zero(fam)
+                        GammaElement.const(1) if (u == up and lam == mu) else GammaElement.zero()
                     )
                     if val != expected:
                         failures.append((lam, u.window, mu, up.window))
@@ -471,7 +458,7 @@ def parabolic_invariants(n: int, aset, flavor: str = "BC", max_length: int = 4) 
     failures = []
     for w in quotient_elements(flavor, n, max_length):
         cs = sch.schubert_restricted(w, n, flavor)
-        inv = all(act_generator(i, cs) == cs for i in free)
+        inv = all(act_generator(i, cs, flavor) == cs for i in free)
         expected = all(not w.has_descent(i) for i in free)
         if inv != expected:
             failures.append(w.window)

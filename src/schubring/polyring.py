@@ -181,13 +181,6 @@ class SparsePoly:
     def half(self) -> "SparsePoly":
         return SparsePoly({k: c.half() for k, c in self.terms.items()})
 
-    def __pow__(self, n: int) -> "SparsePoly":
-        assert n >= 0
-        out = SparsePoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SparsePoly) and self.terms == other.terms
 

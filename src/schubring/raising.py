@@ -105,7 +105,6 @@ def expand(
     # its per-row (subscript, keep_hat) pairs; the states sharing rows
     # 1..row-1 are summed first, so each row's entry multiplies once per
     # distinct prefix rather than once per state.
-    family = entry_fn(1, -1, True).family
     vals: dict = {}
     for (vec, supp), coeff in states.items():
         if ell and min(vec) >= 0:
@@ -117,8 +116,8 @@ def expand(
             e = entry_fn(row, *key[-1])
             if e and val:
                 _add_into(up.setdefault(key[:-1], {}), (e * val).terms)
-        vals = {k: GammaElement(family, t) for k, t in up.items()}
-    total = vals.get((), GammaElement(family))
+        vals = {k: GammaElement(t) for k, t in up.items()}
+    total = vals.get((), GammaElement())
     if isinstance(prefactor, int):
         prefactor = Dyadic(prefactor)
     return total * prefactor
@@ -134,29 +133,29 @@ def c_family(rho, beta):
     rho, beta = tuple(rho), tuple(beta)
 
     def entry(row: int, a: int, keep_hat: bool) -> GammaElement:
-        return c_entry(rho[row - 1], beta[row - 1], a, "c")
+        return c_entry(rho[row - 1], beta[row - 1], a)
 
     return entry
 
 
 def c_hat_family(rho, beta):
     """Hatted entries {}^{rho_i} chat^{beta_i}_a with row-alternating
-    correction sign (-1)^row, in the ring Gamma'[X, Y]."""
+    correction sign (-1)^row (the type D entries)."""
     rho, beta = tuple(rho), tuple(beta)
 
     def entry(row: int, a: int, keep_hat: bool) -> GammaElement:
         if keep_hat:
-            return c_hat_entry(rho[row - 1], beta[row - 1], a, (-1) ** row, "b")
-        return c_entry(rho[row - 1], beta[row - 1], a, "b")
+            return c_hat_entry(rho[row - 1], beta[row - 1], a, (-1) ** row)
+        return c_entry(rho[row - 1], beta[row - 1], a)
 
     return entry
 
 
-def poly_entry_family(fn, family: str = "c"):
+def poly_entry_family(fn):
     """Wrap a subscript -> SparsePoly map as an entry family."""
 
     def entry(row: int, a: int, keep_hat: bool) -> GammaElement:
-        return GammaElement.from_poly(fn(a), family)
+        return GammaElement.from_poly(fn(a))
 
     return entry
 
@@ -190,7 +189,7 @@ class PfaffianSpec(Record):
 def _pfaffian_value_raising(spec: PfaffianSpec) -> GammaElement:
     ell = spec.length
     if ell == 0:
-        return GammaElement.const(1, "b" if spec.hatted else "c")
+        return GammaElement.const(1)
     if spec.hatted:
         fam = c_hat_family(spec.rho, spec.beta)
         pref = Dyadic(1, ell)
@@ -204,7 +203,7 @@ def _pfaffian_value_blocks(spec: PfaffianSpec) -> GammaElement:
     after padding the spec with zero rows to even length."""
     ell = spec.length
     if ell == 0:
-        return GammaElement.const(1, "b" if spec.hatted else "c")
+        return GammaElement.const(1)
     r = ell + (ell % 2)
     rho = spec.rho + (0,) * (r - ell)
     beta = spec.beta + (0,) * (r - ell)
@@ -220,7 +219,7 @@ def _pfaffian_value_blocks(spec: PfaffianSpec) -> GammaElement:
             def entry(row, a, keep_hat):
                 if row == 1:
                     return fam_i(1, a, keep_hat)
-                return c_entry(0, 0, a, "b")
+                return c_entry(0, 0, a)
 
             return expand(
                 rr_expression(2), entry, (alpha[i], alpha[j]), star=True,
@@ -237,13 +236,13 @@ def _pfaffian_value_blocks(spec: PfaffianSpec) -> GammaElement:
 
     def pf(rows: tuple[int, ...]) -> GammaElement:
         if not rows:
-            return GammaElement.const(1, "b" if spec.hatted else "c")
+            return GammaElement.const(1)
         first, rest = rows[0], rows[1:]
         total: dict = {}
         for t, j in enumerate(rest):
             term = block(first, j) * pf(rest[:t] + rest[t + 1 :])
             _add_into(total, term.terms, -1 if t % 2 else 1)
-        return GammaElement("b" if spec.hatted else "c", total)
+        return GammaElement(total)
 
     return pf(tuple(range(r)))
 
@@ -305,16 +304,16 @@ def theta(n: int, lam, double: bool = False) -> GammaElement:
     assert is_n_strict(lam, n), f"{lam} is not {n}-strict"
     ell = len(lam)
     if ell == 0:
-        return GammaElement.const(1, "c")
+        return GammaElement.const(1)
     w = grassmannian_element(lam, n, "BC")
     beta, pairs = _beta_and_pairs(w, ell, n)
 
     if double:
         def entry(row, a, keep_hat):
-            return c_entry(n, beta[row - 1], a, "c")
+            return c_entry(n, beta[row - 1], a)
     else:
         def entry(row, a, keep_hat):
-            return level_c(n, a, "c")
+            return level_c(n, a)
 
     val = expand(jt_expression(ell, pairs), entry, lam)
     if not val.is_integral():
@@ -349,7 +348,7 @@ def eta(n: int, lam, double: bool = False) -> GammaElement:
     parts = lam.parts
     ell = len(parts)
     if ell == 0:
-        return GammaElement.const(1, "b")
+        return GammaElement.const(1)
     w = grassmannian_element(lam, n, "D")
     beta, pairs = _beta_and_pairs(w, ell, n)
     halves = sum(1 for p in parts if p > n)
@@ -358,23 +357,24 @@ def eta(n: int, lam, double: bool = False) -> GammaElement:
 
     def entry(row, a, keep_hat):
         if a < 0:
-            return GammaElement.zero("b")
+            return GammaElement.zero()
         s = beta[row - 1]
         if row == dressed:
-            val = c_entry(n, s, a, "b") - c_entry(n, 0, a, "b") * Dyadic(1, 1)
+            val = c_entry(n, s, a) - c_entry(n, 0, a) * Dyadic(1, 1)
             if a == n and keep_hat:
                 val = val + _dressed_correction(n) * Dyadic(fsign, 1)
             return val
         if keep_hat and parts[row - 1] > n:
-            return c_hat_entry(n, s, a, (-1) ** row, "b")
-        return c_entry(n, s, a, "b")
+            return c_hat_entry(n, s, a, (-1) ** row)
+        return c_entry(n, s, a)
 
     val = expand(
         jt_expression(ell, pairs), entry, parts, star=True, prefactor=Dyadic(1, halves)
     )
     if not double:
         val = val.set_y_zero()
-    if not val.is_integral():
+    # integral in the b basis, where c_lambda = 2^{l(lambda)} b_lambda
+    if not all(c.times_pow2(len(s)).is_integer for (s, _, _), c in val.terms.items()):
         raise ArithmeticError("eta polynomial is not integral in the b-basis")
     if val.max_xvar() > n:
         raise ArithmeticError(f"eta polynomial has variables beyond x_{n}")
@@ -383,7 +383,7 @@ def eta(n: int, lam, double: bool = False) -> GammaElement:
 
 @lru_cache(maxsize=None)
 def _dressed_correction(n: int) -> GammaElement:
-    return GammaElement.from_poly(elem_sym(n, n, "x"), "b")
+    return GammaElement.from_poly(elem_sym(n, n, "x"))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +456,7 @@ def hh_straighten(k: int, lam) -> GammaElement:
     if k < 0 and -k in lam:
         new = tuple(p for p in lam if p != -k)
         return schur_q(new) * ((-1) ** ((k + nk) % 2) * 2)
-    return GammaElement.zero("c")
+    return GammaElement.zero()
 
 
 def decompose_qpla(p: int, lam, n: int):
@@ -484,7 +484,7 @@ def decompose_qpla(p: int, lam, n: int):
 
 def decompose_qpla_value(p: int, lam, n: int) -> GammaElement:
     """Re-assemble the decomposition as a ring element (for exactness checks)."""
-    total = GammaElement.zero("c")
+    total = GammaElement.zero()
     for mu, j, coeff in decompose_qpla(p, lam, n):
-        total = total + schur_q(mu) * level_c(n, j, "c") * coeff
+        total = total + schur_q(mu) * level_c(n, j) * coeff
     return total

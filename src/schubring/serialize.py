@@ -1,7 +1,11 @@
 """Deterministic serialization of ring elements: JSON documents and LaTeX.
 
 The JSON schema (version 1) stores an ordered term list in graded-lex order;
-parse(render(doc)) reproduces the document bit-exactly.
+parse(render(doc)) reproduces the document bit-exactly.  A document of
+family "c" lists the coefficients of the c_lambda monomials; one of family
+"b" (types B and D, eta polynomials, hatted Pfaffians) lists them in the
+b basis, where c_lambda = 2^{l(lambda)} b_lambda.  Elements themselves are
+always in the c basis (see ``gammaring``).
 """
 
 from __future__ import annotations
@@ -45,19 +49,30 @@ def _coeff_parse(s: str) -> Dyadic:
     return Dyadic(int(s))
 
 
-def gamma_to_document(f: GammaElement, metadata: dict | None = None) -> PolynomialDocument:
+def _basis_terms(f: GammaElement, family: str) -> list:
+    """f's terms in graded-lex order, each coefficient in the family's basis."""
+    if family == "c":
+        return f.sorted_terms()
+    return [(k, c.times_pow2(len(k[0]))) for k, c in f.sorted_terms()]
+
+
+def gamma_to_document(
+    f: GammaElement, family: str = "c", metadata: dict | None = None
+) -> PolynomialDocument:
     terms = [
         [_coeff_str(c), list(subs), list(xk), list(yk)]
-        for (subs, xk, yk), c in f.sorted_terms()
+        for (subs, xk, yk), c in _basis_terms(f, family)
     ]
-    return PolynomialDocument(f.family, terms, metadata or {})
+    return PolynomialDocument(family, terms, metadata or {})
 
 
 def document_to_gamma(doc: PolynomialDocument) -> GammaElement:
+    shift = doc.family == "b"
     t = {}
     for coeff, subs, xk, yk in doc.terms:
-        t[(tuple(subs), tuple(xk), tuple(yk))] = _coeff_parse(coeff)
-    return GammaElement(doc.family, t)
+        c = _coeff_parse(coeff)
+        t[(tuple(subs), tuple(xk), tuple(yk))] = c.times_pow2(-len(subs)) if shift else c
+    return GammaElement(t)
 
 
 def render_document(doc: PolynomialDocument) -> str:
@@ -77,15 +92,15 @@ def parse_document(text: str) -> PolynomialDocument:
     return PolynomialDocument(ring["family"], terms, obj.get("metadata", {}))
 
 
-def gamma_to_latex(f: GammaElement) -> str:
+def gamma_to_latex(f: GammaElement, family: str = "c") -> str:
     """Render with the usual conventions: c_p / b_p generators, x^a y^b."""
     if not f.terms:
         return "0"
     bits = []
-    for (subs, xk, yk), c in f.sorted_terms():
+    for (subs, xk, yk), c in _basis_terms(f, family):
         mono = ""
         for p in subs:
-            mono += f"{f.family}_{{{p}}}"
+            mono += f"{family}_{{{p}}}"
         for name, key in (("x", xk), ("y", yk)):
             for i, e in enumerate(key):
                 if e == 1:

@@ -368,7 +368,8 @@ def grassmannian_shape(w: SignedPermutation, n: int):
     t = d_type(w)
     lam = shape(w).lam if t != 2 else shape(flip_first_sign(w)).lam
     # a nonzero element type always comes with a part equal to n and vice versa
-    assert (t != 0) == (n in lam), (w.window, t, lam)
+    if (t != 0) != (n in lam):
+        raise ValueError(f"{w.window} has type {t} but shape {lam} at level {n}")
     return TypedPartition(lam, n, t)
 
 

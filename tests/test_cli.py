@@ -101,7 +101,7 @@ def test_serialization_roundtrip():
 
     for win, flavor in [((2, -1), "BC"), ((-2, 3, -1), "D")]:
         f = schubert_poly(SignedPermutation(win, flavor), flavor)
-        doc = gamma_to_document(f, metadata={"w": list(win)})
+        doc = gamma_to_document(f, "b" if flavor == "D" else "c", {"w": list(win)})
         text = render_document(doc)
         doc2 = parse_document(text)
         assert render_document(doc2) == text
@@ -111,8 +111,9 @@ def test_serialization_roundtrip():
 def test_latex_coefficients():
     from schubring.polyring import Dyadic
 
-    f = GammaElement("b", {((2,), (), ()): Dyadic(1, 1), ((), (1,), ()): Dyadic(-3)})
-    s = gamma_to_latex(f)
+    # b_2 / 2 - 3 x_1, with b_2 = c_2 / 2
+    f = GammaElement({((2,), (), ()): Dyadic(1, 2), ((), (1,), ()): Dyadic(-3)})
+    s = gamma_to_latex(f, "b")
     assert r"\frac{1}{2^{1}}" in s and "b_{2}" in s and "-" in s
 
 
@@ -129,7 +130,7 @@ def test_expand_theta_basis(tmp_path, capsys):
     from schubring.gammaring import level_c
 
     path = tmp_path / "g.json"
-    path.write_text(render_document(gamma_to_document(level_c(2, 3, "c"))))
+    path.write_text(render_document(gamma_to_document(level_c(2, 3))))
     code, out, _ = run_cli("expand", "--in", str(path), "--basis", "theta", "--n", "2", capsys=capsys)
     assert code == 0
     assert json.loads(out)["coefficients"] == {"[3]": 1}
@@ -177,16 +178,23 @@ def test_verify_output_sorted(capsys):
     assert lines == sorted(lines)
 
 
-def test_disk_cache_roundtrip(tmp_path, monkeypatch):
+@pytest.mark.parametrize("flavor, window", [("BC", (3, -2, 1)), ("D", (-2, 3, -1))],
+                         ids=["BC", "D"])
+def test_disk_cache_roundtrip(flavor, window, tmp_path, monkeypatch):
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
     from schubring import schubert as sch
     from schubring.weyl import SignedPermutation
 
     fresh = sch.CachedTable()
     monkeypatch.setattr(sch, "_TABLE", fresh)
-    w = SignedPermutation((3, -2, 1), "BC")
+    w = SignedPermutation(window, flavor)
     val = sch.schubert_transition(w)
-    assert any(p.suffix == ".json" for p in tmp_path.iterdir())
+    entry = tmp_path / (sch._disk_key((flavor, window, "double")) + ".json")
+    doc = parse_document(entry.read_text())
+    # a type D entry lists its coefficients in the b basis, as every entry of
+    # this DISK_FORMAT does, so entries written by earlier versions stay hits
+    assert doc.family == ("b" if flavor == "D" else "c")
+    assert document_to_gamma(doc) == val
     # a second (cold) table reads the same value back from disk
     monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
     assert sch.schubert_transition(w) == val
@@ -296,6 +304,16 @@ def test_compute_rejects_negative_level_or_restrict(args, capsys):
     code, out, err = run_cli("compute", *args, capsys=capsys)
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1 and "nonnegative" in err
+    proc = _run_optimized("-m", "schubring.cli", "compute", *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+
+def test_compute_rejects_eta_level_zero(capsys):
+    # the type of a D element is read from w(1), which means nothing at level 0
+    args = ("--eta", "0", "1", "0")
+    code, out, err = run_cli("compute", *args, capsys=capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "not 0" in err
     proc = _run_optimized("-m", "schubring.cli", "compute", *args)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
 

@@ -190,6 +190,12 @@ def test_typed_correspondence_example():
     assert grassmannian_element(t, 2, "D") == v
 
 
+def test_typed_shape_mismatch_is_a_value_error():
+    # at level 0 the type read from w(1) has no part equal to n to match
+    with pytest.raises(ValueError):
+        grassmannian_shape(S((-2, -1), "D"), 0)
+
+
 def test_identity_corresponds_to_empty_shape():
     assert grassmannian_shape(S((), "BC"), 2) == ()
     assert grassmannian_element((), 2, "BC").is_identity()
