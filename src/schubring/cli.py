@@ -26,7 +26,7 @@ from .serialize import (
 
 
 # the keys of verify.SUITES, so that a compute or expand request need not import it
-SUITE_NAMES = ("all", "alternants", "braid", "hilbert", "invariance", "kernel", "oracle",
+SUITE_NAMES = ("all", "alternants", "anchors", "braid", "hilbert", "invariance", "kernel", "oracle",
                "orthogonality", "pfaffian-props", "shapes", "straightening",
                "transitions-vs-divdiff")
 
@@ -56,6 +56,8 @@ def cmd_compute(args) -> int:
         raise PreconditionError("--restrict must be nonnegative")
     if args.eta is not None and args.eta[0] < 1:
         raise PreconditionError(f"--eta needs a level n >= 1, not {args.eta[0]}")
+    if args.w is not None and args.lie_type == "A" and args.method == "both":
+        raise PreconditionError("type A has only the divided-difference route; --method both checks nothing")
     # types B and D, eta polynomials and hatted Pfaffians are written in the b basis
     family = "c"
     meta = {}
@@ -212,10 +214,13 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         if args.command == "compute":
-            if args.theta is not None:
-                args.theta = (int(args.theta[0]), args.theta[1])
-            if args.eta is not None:
-                args.eta = (int(args.eta[0]), args.eta[1], int(args.eta[2]))
+            try:
+                if args.theta is not None:
+                    args.theta = (int(args.theta[0]), args.theta[1])
+                if args.eta is not None:
+                    args.eta = (int(args.eta[0]), args.eta[1], int(args.eta[2]))
+            except ValueError as e:
+                raise ParseError(str(e))
             return cmd_compute(args)
         if args.command == "expand":
             return cmd_expand(args)

@@ -1,11 +1,13 @@
 """Divided differences and Schubert polynomials of types A, B, C and D.
 
-Every Schubert polynomial is computed along two independent routes: the
-transition recursion (terminating in multi-Schur Pfaffian data for the
-increasing elements) and right divided differences applied to the top-cell
-Pfaffian anchor.  A shared cache stores one value per key together with the
-provenance flags; whenever both routes have produced a value they are
-required to agree exactly.
+Every double Schubert polynomial is computed along two independent routes.
+The transition recursion ends in multi-Schur Pfaffian data for the
+increasing elements.  The divided-difference route builds the single (y-free)
+polynomials by divided differences from the top-cell Pfaffian anchor at
+y = 0, and assembles the double polynomial from them and type A factors in
+-Y.  A shared cache stores one value per key together with the provenance
+flags; whenever both routes have produced a value they are required to
+agree exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .gammaring import (
 )
 from .weyl import (
     SignedPermutation,
+    enumerate_group,
     is_grassmannian,
     is_increasing,
     quotient_elements,
@@ -153,7 +156,14 @@ def _delta(k: int, length: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _anchor(flavor: str, m: int, double: bool) -> GammaElement:
-    """The Schubert polynomial of the longest element of rank m."""
+    """The Schubert polynomial of the longest element of rank m.
+
+    y -> 0 is a ring map, so the single anchor is the Pfaffian of the
+    entries at y = 0.  A back index only brings in y, so it drops to 0.  The
+    type D hat correction of a row sits at p = 2k with k >= 1 and carries
+    e_k(-Y), so it drops too: the y-free entries are plain, and the 2^{-(m-1)}
+    prefactor of the hatted Pfaffian is all that is left of the hats.
+    """
     if flavor == "A":
         if double:
             out = GammaElement.const(1)
@@ -166,23 +176,17 @@ def _anchor(flavor: str, m: int, double: bool) -> GammaElement:
         mono = tuple(m - i for i in range(1, m + 1))
         return GammaElement.monomial(xk=mono)
     if flavor == "BC":
-        spec = PfaffianSpec(
-            _delta(m - 1, m),
-            tuple(-v for v in _delta(m - 1, m)),
-            tuple(2 * m - 1 - 2 * i for i in range(m)),
-        )
-        val = multi_schur_pfaffian(spec, cross_check=(m <= 3))
+        rho = _delta(m - 1, m)
+        alpha = tuple(2 * m - 1 - 2 * i for i in range(m))
     else:
-        ell = m - 1
-        spec = PfaffianSpec(
-            _delta(m - 1, ell),
-            tuple(-v for v in _delta(m - 1, ell)),
-            tuple(2 * (m - 1 - i) for i in range(ell)),
-            hatted=True,
-            star=True,
-        )
-        val = multi_schur_pfaffian(spec, cross_check=(m <= 3))
-    return val if double else val.set_y_zero()
+        rho = _delta(m - 1, m - 1)
+        alpha = tuple(2 * (m - 1 - i) for i in range(m - 1))
+    if double:
+        hatted = flavor == "D"
+        spec = PfaffianSpec(rho, tuple(-v for v in rho), alpha, hatted=hatted, star=hatted)
+        return multi_schur_pfaffian(spec, cross_check=(m <= 3))
+    val = multi_schur_pfaffian(PfaffianSpec(rho, (0,) * len(rho), alpha), cross_check=(m <= 3))
+    return val if flavor == "BC" else val * Dyadic(1, m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +315,67 @@ def _transition_value(flavor: str, window: tuple) -> GammaElement:
 
 
 def schubert_divdiff(w: SignedPermutation, flavor: str | None = None) -> GammaElement:
-    """The double Schubert polynomial via divided differences from the anchor."""
+    """The double Schubert polynomial from single ones, by the factorization
+
+        CS_w(X; Y) = sum over u in S_m of S^A_{u^{-1}}(-Y) CS_{u^{-1} w}(X),
+
+    over the u with l(u) + l(u^{-1} w) = l(w) (Billey & Haiman; Ikeda,
+    Mihalcea & Naruse for type D).  The single polynomials come by divided
+    differences from the y-free anchor, and the type A factors by divided
+    differences from x^delta; no transition data is used.
+    """
     flavor = flavor or w.flavor
     w = w.with_flavor(flavor)
     key = (flavor, w.window, "double")
     got = _TABLE.lookup(key)
     if got is not None and "divdiff" in _TABLE.provenance[key]:
         return got
-    m = w.support if flavor != "D" else max(w.support, 2)
-    m = max(m, 1)
-    w0 = longest_element(m, flavor)
-    u = w.inverse() * w0
-    assert u.length() == w0.length() - w.length()
-    val = divided_difference_w(u, _anchor(flavor, m, True))
-    return _TABLE.store(key, val, "divdiff")
+    m = max(w.support, 2 if flavor == "D" else 1)
+    total: dict = {}
+    for u in enumerate_group("S", m):
+        v = u.inverse().with_flavor(flavor) * w
+        if u.length() + v.length() == w.length():
+            _add_into(total, (_type_a_at_minus_y(u.inverse().window) * _single(v, m)).terms)
+    return _TABLE.store(key, GammaElement(total), "divdiff")
+
+
+@lru_cache(maxsize=None)
+def _type_a_at_minus_y(window: tuple) -> GammaElement:
+    """The single type A polynomial of the window, evaluated at x = -y."""
+    f = schubert_poly(SignedPermutation(window, "A"), "A", double=False)
+    return GammaElement({((), (), xk): -c if sum(xk) % 2 else c for (_, xk, _), c in f.terms.items()})
+
+
+# (flavor, window) -> the single polynomial; in process only, never on disk
+_SINGLE: dict = {}
+
+
+def _single(v: SignedPermutation, m: int) -> GammaElement:
+    """The single polynomial of v in the rank-m group, by S_v = d_i S_{v s_i}
+    for an ascent i, climbing to the first memoized element or the anchor.
+    Single polynomials are stable in m, so the memo key holds no rank.
+
+    d_0 costs far more than the other operators.  In flavor BC every path from
+    v up to w0 has the same number of s_0 steps, so the climb takes them
+    first, where the polynomials are smallest; in type D the number varies,
+    so the climb takes the branch node only when no other ascent is left.
+    """
+    flavor = v.flavor
+    top = longest_element(m, flavor)
+    order = range(m) if flavor == "BC" else (*range(1, m), 0)
+    steps = []
+    while (flavor, v.window) not in _SINGLE:
+        if v == top:
+            _SINGLE[(flavor, v.window)] = _anchor(flavor, m, False)
+            break
+        i = next(i for i in order if not v.has_descent(i))
+        steps.append((v.window, i))
+        v = v.right_mul_gen(i)
+    f = _SINGLE[(flavor, v.window)]
+    for window, i in reversed(steps):
+        f = divided_difference(i, f, flavor=flavor)
+        _SINGLE[(flavor, window)] = f
+    return f
 
 
 def schubert_poly(
@@ -497,8 +548,6 @@ def scalar_product(
 
 def alternating_operator(f: GammaElement, n: int, flavor: str = "BC") -> GammaElement:
     """Signed sum of the full Weyl group orbit of f."""
-    from .weyl import enumerate_group
-
     kind = "W" if flavor == "BC" else "Wtilde"
     total: dict = {}
     for w in enumerate_group(kind, n):

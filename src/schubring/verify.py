@@ -85,7 +85,7 @@ def _random_element(rng):
 
 
 def _suite_transitions(bounds):
-    n = min(bounds.n, 3)
+    n = min(bounds.n, 4)
     L = bounds.max_length if bounds.max_length is not None else 6
     for flavor, kind in (("BC", "W"), ("D", "Wtilde")):
         bad = []
@@ -96,6 +96,15 @@ def _suite_transitions(bounds):
                 if sch.schubert_transition(w) != sch.schubert_divdiff(w):
                     bad.append(w.window)
         yield f"transitions-vs-divdiff/{flavor}-n{n}", not bad, f"{cnt} checked; first failures {bad[:3]}"
+
+
+def _suite_anchors(bounds):
+    # The double top-cell Pfaffian of rank m, which the divided-difference
+    # route no longer evaluates, against the transition route at w0.
+    for flavor, first in (("BC", 1), ("D", 2)):
+        for m in range(first, min(bounds.n + 1, 4) + 1):
+            ok = sch._anchor(flavor, m, True) == sch.schubert_transition(sch.longest_element(m, flavor))
+            yield f"anchors/{flavor}-m{m}", ok, None
 
 
 def _suite_pfaffian_props(bounds):
@@ -224,6 +233,7 @@ SUITES = {
     "shapes": _suite_shapes,
     "braid": _suite_braid,
     "transitions-vs-divdiff": _suite_transitions,
+    "anchors": _suite_anchors,
     "pfaffian-props": _suite_pfaffian_props,
     "alternants": _suite_alternants,
     "kernel": _suite_kernel,

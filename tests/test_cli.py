@@ -60,6 +60,8 @@ def test_exit_code_parse_error(capsys):
         ("--theta", "2", "2 1"),
         ("--eta", "2", "2 1", "0"),
         ("--pfaffian", "1 0", "-1,0", "3,1"),
+        ("--theta", "x", "2,1"),
+        ("--eta", "2", "2", "x"),
     ):
         code, out, _ = run_cli("compute", *args, capsys=capsys)
         assert (code, out) == (2, ""), args
@@ -172,6 +174,24 @@ def test_verify_suite_kernel_honours_n(capsys):
     assert "6/6 checks passed" in out
 
 
+def test_verify_suite_anchors(capsys):
+    code, out, _ = run_cli("verify", "--suite", "anchors", "--n", "3", capsys=capsys)
+    assert code == 0
+    ids = [line.split()[1] for line in out.strip().splitlines()[:-1]]
+    assert ids == ["anchors/BC-m1", "anchors/BC-m2", "anchors/BC-m3", "anchors/BC-m4",
+                   "anchors/D-m2", "anchors/D-m3", "anchors/D-m4"]
+
+
+def test_verify_transitions_honours_n4():
+    from schubring.verify import Bounds, _suite_transitions
+    from schubring.weyl import enumerate_group
+
+    got = {cid: (ok, detail) for cid, ok, detail in _suite_transitions(Bounds(4, 3, None, 0))}
+    for kind, cid in (("W", "transitions-vs-divdiff/BC-n4"), ("Wtilde", "transitions-vs-divdiff/D-n4")):
+        count = sum(1 for w in enumerate_group(kind, 4) if w.length() <= 3)
+        assert got[cid] == (True, f"{count} checked; first failures []"), cid
+
+
 def test_verify_output_sorted(capsys):
     code, out, _ = run_cli("verify", "--suite", "shapes", capsys=capsys)
     lines = [l.split(" ", 1)[1] for l in out.strip().splitlines()[:-1]]
@@ -243,6 +263,16 @@ def _run_python(*args):
 def _run_optimized(*args):
     """Run python -O with the package under test importable."""
     return _run_python("-O", *args)
+
+
+def test_type_a_method_both_is_rejected(capsys):
+    # type A has one route only, so there is no agreement to claim
+    args = ("compute", "--lie-type", "A", "--w", "[2,1]", "--method", "both")
+    code, out, err = run_cli(*args, capsys=capsys)
+    assert (code, out) == (3, "")
+    assert len(err.strip().splitlines()) == 1
+    proc = _run_optimized("-m", "schubring.cli", *args)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
 
 
 @pytest.mark.parametrize("window", ["[2,2]", "[-1,3]", "[0,1]"])

@@ -214,6 +214,42 @@ def test_path_independence_spot_rank4():
         assert schubert_transition(w) == schubert_divdiff(w), (win, flavor)
 
 
+def test_single_anchor_is_the_double_anchor_at_y_zero():
+    from schubring.schubert import _anchor
+
+    for flavor, first in (("BC", 1), ("D", 2)):
+        for m in range(first, 5):
+            assert _anchor(flavor, m, False) == _anchor(flavor, m, True).set_y_zero(), (flavor, m)
+
+
+def test_single_memo_matches_transitions():
+    from schubring.schubert import _single
+
+    for kind, flavor in (("W", "BC"), ("Wtilde", "D")):
+        for w in enumerate_group(kind, 3):
+            assert _single(w, 3) == schubert_transition(w).set_y_zero(), (flavor, w.window)
+
+
+def test_divdiff_route_uses_no_transition_code(monkeypatch, tmp_path):
+    from schubring import schubert as sch
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the divided-difference route reached transition code")
+
+    for name in ("schubert_transition", "_transition_value", "transition_data"):
+        monkeypatch.setattr(sch, name, forbidden)
+    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
+    monkeypatch.setattr(sch, "_SINGLE", {})
+    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
+    for win, flavor in (((2, -3, 1), "BC"), ((-2, 3, -1), "D")):
+        w = S(win, flavor)
+        assert schubert_divdiff(w).set_y_zero() == sch._SINGLE[(flavor, w.window)]
+    # the single memo stays in the process: only the double values reach disk
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "v2_BC_2_-3_1_double.json", "v2_D_-2_3_-1_double.json"
+    ]
+
+
 def test_type_a_polynomials():
     w0 = S((3, 2, 1), "A")
     assert schubert_poly(w0, "A", double=False) == GammaElement.monomial(xk=(2, 1))
