@@ -26,8 +26,8 @@ from .serialize import (
 
 
 # the keys of verify.SUITES, so that a compute or expand request need not import it
-SUITE_NAMES = ("all", "alternants", "anchors", "braid", "hilbert", "invariance", "kernel", "oracle",
-               "orthogonality", "pfaffian-props", "shapes", "straightening",
+SUITE_NAMES = ("all", "alternants", "anchors", "braid", "hilbert", "invariance", "kernel",
+               "oracle", "orthogonality", "pfaffian-props", "shapes", "straightening",
                "transitions-vs-divdiff")
 
 

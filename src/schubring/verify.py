@@ -99,8 +99,8 @@ def _suite_transitions(bounds):
 
 
 def _suite_anchors(bounds):
-    # The double top-cell Pfaffian of rank m, which the divided-difference
-    # route no longer evaluates, against the transition route at w0.
+    # The double top-cell Pfaffian of rank m, which no compute route
+    # evaluates, against the transition route at w0.
     for flavor, first in (("BC", 1), ("D", 2)):
         for m in range(first, min(bounds.n + 1, 4) + 1):
             ok = sch._anchor(flavor, m, True) == sch.schubert_transition(sch.longest_element(m, flavor))
