@@ -13,6 +13,10 @@ Gamma (x) Q = Q[p_1, p_3, p_5, ...], with c_p sent to the Schur Q-function
 q_p written in odd power sums (Macdonald, Symmetric Functions and Hall
 Polynomials, III.8).
 
+Products and the index-0 action run on int numerators over one power of two
+per operand, with the terms grouped by subscript tuple, so the rewriting is
+looked up once per pair of tuples (Monagan & Pearce, CASC 2007).
+
 The type D ring Gamma' = Z[b]/(relations) is Gamma with b_p = c_p / 2: over
 Q, P_lambda = 2^{-l(lambda)} Q_lambda (Macdonald III.8), and substituting
 b_p = c_p / 2 into the b relation and multiplying by 4 gives the c relation.
@@ -85,6 +89,35 @@ def _add_into(out: dict, terms: dict, scale=1) -> dict:
             out[k] = s
         elif k in out:
             del out[k]
+    return out
+
+
+def _numerators(terms: dict) -> tuple[dict, int]:
+    """Group terms by subscript tuple as int numerators over one power of two:
+    ({subs: {(xk, yk): num}}, e), each coefficient being num / 2^e."""
+    e = max((c.exp for c in terms.values()), default=0)
+    groups: dict = {}
+    for (subs, xk, yk), c in terms.items():
+        groups.setdefault(subs, {})[(xk, yk)] = c.num << (e - c.exp)
+    return groups, e
+
+
+def _group_product(g1: dict, g2: dict) -> dict:
+    """The product of two grouped int elements, grouped the same way by
+    strict subscript tuple.  Per pair of groups the x/y products are formed
+    once and ``_strictify`` is called once; zero numerators may remain."""
+    out: dict = {}
+    for s1, m1 in g1.items():
+        for s2, m2 in g2.items():
+            prod: dict = {}
+            for (x1, y1), n1 in m1.items():
+                for (x2, y2), n2 in m2.items():
+                    k = (_madd(x1, x2), _madd(y1, y2))
+                    prod[k] = prod.get(k, 0) + n1 * n2
+            for strict, mult in _strictify(tuple(sorted(s1 + s2, reverse=True))):
+                acc = out.setdefault(strict, {})
+                for k, n in prod.items():
+                    acc[k] = acc.get(k, 0) + n * mult
     return out
 
 
@@ -172,19 +205,11 @@ class GammaElement:
             if not c:
                 return GammaElement()
             return GammaElement({k: v * c for k, v in self.terms.items()})
-        out: dict = {}
-        for (s1, x1, y1), c1 in self.terms.items():
-            for (s2, x2, y2), c2 in other.terms.items():
-                subs = tuple(sorted(s1 + s2, reverse=True))
-                xk, yk = _madd(x1, x2), _madd(y1, y2)
-                c = c1 * c2
-                for strict, mult in _strictify(subs):
-                    k = (strict, xk, yk)
-                    s = out.get(k, D_ZERO) + c * mult
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
+        (g1, e1), (g2, e2) = _numerators(self.terms), _numerators(other.terms)
+        prod, out = _group_product(g1, g2), {}
+        while prod:  # group by group, so the int copy shrinks as the result grows
+            s, acc = prod.popitem()
+            out.update(((s, xk, yk), Dyadic(n, e1 + e2)) for (xk, yk), n in acc.items() if n)
         return GammaElement(out)
 
     __rmul__ = __mul__
@@ -303,23 +328,24 @@ class GammaElement:
 
 
 @lru_cache(maxsize=None)
-def _s0_image(p: int) -> GammaElement:
-    """s_0(c_p) = c_p + 2 sum_{j=1}^p x_1^j c_{p-j}."""
+def _s0_image(p: int) -> dict:
+    """s_0(c_p) = c_p + 2 sum_{j=1}^p x_1^j c_{p-j}, grouped as by _numerators."""
     raw = [((p,), (), (), 1)]
     for j in range(1, p + 1):
         raw.append(([p - j], (j,), (), 2))
-    return GammaElement.from_raw(raw)
+    return _numerators(GammaElement.from_raw(raw).terms)[0]
 
 
 @lru_cache(maxsize=None)
-def _sbox_image(p: int) -> GammaElement:
-    """s_box(c_p) = c_p + 2 (x1+x2) sum_{j=0}^{p-1} h_j(x1,x2) c_{p-1-j}."""
+def _sbox_image(p: int) -> dict:
+    """s_box(c_p) = c_p + 2 (x1+x2) sum_{j=0}^{p-1} h_j(x1,x2) c_{p-1-j},
+    grouped as by _numerators."""
     lin = GammaElement.from_poly(SparsePoly.var("x", 1) + SparsePoly.var("x", 2))
     total = GammaElement.zero()
     for j in range(0, p):
         hj = GammaElement.from_poly(complete_sym(2, j, "x"))
         total = total + hj * GammaElement.generator(p - 1 - j)
-    return GammaElement.generator(p) + lin * total * 2
+    return _numerators((GammaElement.generator(p) + lin * total * 2).terms)[0]
 
 
 def act_generator(i: int, f: GammaElement, flavor: str = "BC") -> GammaElement:
@@ -329,40 +355,44 @@ def act_generator(i: int, f: GammaElement, flavor: str = "BC") -> GammaElement:
     Index 0 means s_0 in flavor BC and the branch reflection in flavor D.
     """
     if i >= 1:
+        # swapping x_i and x_{i+1} is a bijection on monomials: no terms meet
         out: dict = {}
         for (subs, xk, yk), c in f.terms.items():
             lst = list(xk) + [0] * max(0, i + 1 - len(xk))
             lst[i - 1], lst[i] = lst[i], lst[i - 1]
-            k = (subs, _trim(tuple(lst)), yk)
-            s = out.get(k, D_ZERO) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            out[(subs, _trim(tuple(lst)), yk)] = c
         return GammaElement(out)
     # s_0 (flavor BC): x_1 -> -x_1; branch node (flavor D): (x1, x2) ->
-    # (-x2, -x1).  Terms are grouped by subscript tuple; the group's
-    # generator image is y-free and built once, and every term's moved
-    # monomial is spread over it before the next group's image is built.
+    # (-x2, -x1).  The moved monomials and their signs go into int numerators
+    # over one power of two, grouped by subscript tuple.  In sorted order,
+    # stack[j] is the y-free image of the first j subscripts, so each group's
+    # image extends the longest prefix it shares with the previous tuple.
     branch = flavor == "D"
     image = _sbox_image if branch else _s0_image
-    groups: dict = {}
-    for (subs, xk, yk), c in f.terms.items():
-        groups.setdefault(subs, []).append((xk, yk, c))
+    groups, e = _numerators(f.terms)
     out: dict = {}
-    for subs, monos in groups.items():
-        img = GammaElement.const(1)
-        for p in subs:
-            img = img * image(p)
-        for xk, yk, c in monos:
+    stack = [{(): {((), ()): 1}}]
+    prev: tuple = ()
+    for subs in sorted(groups):
+        j = 0
+        while j < len(prev) and j < len(subs) and prev[j] == subs[j]:
+            j += 1
+        del stack[j + 1:]
+        for p in subs[j:]:
+            stack.append(_group_product(stack[-1], image(p)))
+        prev = subs
+        img = [(s2, x2, n2) for s2, acc in stack[-1].items() for (x2, _), n2 in acc.items() if n2]
+        for (xk, yk), n in groups[subs].items():
             a1, a2 = (xk + (0, 0))[:2]
             odd = a1 % 2
             if branch:
                 xk = _trim((a2, a1) + xk[2:])
                 odd = (a1 + a2) % 2
-            moved = {(s2, _madd(xk, x2), yk): c2 for (s2, x2, _), c2 in img.terms.items()}
-            _add_into(out, moved, -c if odd else c)
-    return GammaElement(out)
+            n = -n if odd else n
+            for s2, x2, n2 in img:
+                k = (s2, _madd(xk, x2), yk)
+                out[k] = out.get(k, 0) + n * n2
+    return GammaElement({k: Dyadic(n, e) for k, n in out.items() if n})
 
 
 def weyl_act(w, f: GammaElement) -> GammaElement:

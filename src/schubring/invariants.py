@@ -82,9 +82,16 @@ def monomial_basis(n: int, d: int, with_y: bool) -> tuple:
     return tuple(sorted(set(keys)))
 
 
+# id(basis) -> (basis, {key: column}); holding the basis keeps its id from reuse
+_COLUMNS: dict = {}
+
+
 def to_vector(f: GammaElement, basis: tuple) -> list[Fraction]:
     from fractions import Fraction
-    index = {k: i for i, k in enumerate(basis)}
+    got = _COLUMNS.get(id(basis))
+    if got is None:
+        got = _COLUMNS[id(basis)] = (basis, {k: i for i, k in enumerate(basis)})
+    index = got[1]
     vec = [Fraction(0)] * len(basis)
     for k, c in f.terms.items():
         vec[index[k]] = c.as_fraction()

@@ -8,6 +8,8 @@ floating point anywhere.
 
 from __future__ import annotations
 
+from operator import add
+
 
 class Dyadic:
     """A rational number of the form num / 2^exp, with num odd or zero."""
@@ -103,7 +105,7 @@ def _madd(a: tuple, b: tuple) -> tuple:
         return a
     if len(a) < len(b):
         a, b = b, a
-    return tuple(ai + bi for ai, bi in zip(a, b)) + a[len(b):]
+    return tuple(map(add, a, b)) + a[len(b):]
 
 
 class SparsePoly:

@@ -400,6 +400,9 @@ def schubert_poly(
     if method == "transition":
         val = schubert_transition(w, flavor)
     elif method == "divdiff":
+        if not double:
+            # at y = 0 only the u = id term of the factorization survives
+            return _single(w.with_flavor(flavor), max(w.support, 2 if flavor == "D" else 1))
         val = schubert_divdiff(w, flavor)
     elif method == "both":
         val = schubert_transition(w, flavor)

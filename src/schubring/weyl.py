@@ -428,14 +428,16 @@ def enumerate_group(kind: str, n: int):
 
 
 @lru_cache(maxsize=None)
-def quotient_elements(flavor: str, n: int, max_length: int) -> tuple:
+def quotient_elements(flavor: str, n: int, max_length: int, grassmannian: bool = False) -> tuple:
     """The parabolic quotient W^(n) = {w : w(i) < w(i+1) for every i > n} up
-    to length max_length, ordered by (length, window).
+    to length max_length, ordered by (length, window); with ``grassmannian``,
+    only its n-Grassmannian elements (no right descent at any i != n).
 
-    Grown from the identity by left multiplication.  W^(n) is closed under
-    left descents, so every element of length l + 1 is s_i w for some w of
-    length l in W^(n); and i <= max(support of w, n), since for larger i the
-    product s_i w = w s_i has a right descent at i > n.
+    Grown from the identity by left multiplication.  Both sets are minimal
+    coset representatives of a parabolic subgroup, so they are closed under
+    left descents: every element of length l + 1 is s_i w for some w of
+    length l in the set.  And i <= max(support of w, n), since for larger i
+    the product s_i w = w s_i has a right descent at i > n.
     """
     frontier = [SignedPermutation.identity(flavor)]
     out = list(frontier)
@@ -444,8 +446,10 @@ def quotient_elements(flavor: str, n: int, max_length: int) -> tuple:
         for w in frontier:
             for i in w.gen_indices(max(w.support, n)):
                 v = w.left_mul_gen(i)
-                if v.length() == ell + 1 and all(
-                    v(j) < v(j + 1) for j in range(n + 1, v.support)
+                if v.length() == ell + 1 and (
+                    is_grassmannian(v, n)
+                    if grassmannian
+                    else all(v(j) < v(j + 1) for j in range(n + 1, v.support))
                 ):
                     new.add(v)
         frontier = sorted(new, key=lambda w: w.window)
@@ -455,7 +459,7 @@ def quotient_elements(flavor: str, n: int, max_length: int) -> tuple:
 
 def enumerate_grassmannian(n: int, flavor: str, max_length: int):
     """All n-Grassmannian elements of length <= max_length."""
-    return [w for w in quotient_elements(flavor, n, max_length) if is_grassmannian(w, n)]
+    return list(quotient_elements(flavor, n, max_length, True))
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,22 @@ def test_window_validation_survives_optimize(window):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--pfaffian", "2,2,1,1,0", "-1,-1,0,0,1", "7,5,3,2,1", "--hatted"),
+        ("--eta", "3", "3,3,1", "1"),
+    ],
+)
+def test_ring_arithmetic_output_survives_optimize(args, monkeypatch):
+    # the term kernel must not depend on assert statements
+    monkeypatch.delenv("SCHUBERT_CACHE_DIR", raising=False)
+    plain = _run_python("-m", "schubring.cli", "compute", *args)
+    optimized = _run_optimized("-m", "schubring.cli", "compute", *args)
+    assert plain.returncode == 0, plain.stderr
+    assert (optimized.returncode, optimized.stdout) == (0, plain.stdout), optimized.stderr
+
+
 @pytest.mark.parametrize("lie_type, basis", [("C", "theta"), ("D", "eta")])
 def test_expand_grassmannian_check_survives_optimize(lie_type, basis, tmp_path, capsys):
     # S_[1,3,2] is not invariant at level 1, so it has no theta/eta expansion

@@ -111,6 +111,10 @@ def test_oracle_matches_normalization():
                 raw = from_b_raw(raw)
             f = GammaElement.from_raw(raw)
             assert oracle_embed(f) == oracle_raw_embed(raw)
+    # products whose operands' coefficients carry different powers of two
+    for _ in range(20):
+        f, h = rand_element("b", rng), rand_element("b", rng) * Dyadic(3, 2)
+        assert oracle_embed(f * h) == _oracle_mul(oracle_embed(f), oracle_embed(h))
 
 
 def test_oracle_detects_corrupted_normal_form():

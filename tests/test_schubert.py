@@ -250,6 +250,22 @@ def test_divdiff_route_uses_no_transition_code(monkeypatch, tmp_path):
     ]
 
 
+def test_single_divdiff_skips_the_factorization(monkeypatch):
+    from schubring import schubert as sch
+
+    groups = [enumerate_group("W", 3), enumerate_group("Wtilde", 3)]
+    expected = [[schubert_divdiff(w).set_y_zero() for w in ws] for ws in groups]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a single polynomial reached the type A factors")
+
+    monkeypatch.setattr(sch, "_type_a_at_minus_y", forbidden)
+    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
+    for ws, values in zip(groups, expected):
+        for w, value in zip(ws, values):
+            assert schubert_poly(w, double=False, method="divdiff") == value, w.window
+
+
 def test_type_a_polynomials():
     w0 = S((3, 2, 1), "A")
     assert schubert_poly(w0, "A", double=False) == GammaElement.monomial(xk=(2, 1))

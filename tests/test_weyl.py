@@ -162,6 +162,16 @@ def test_truncated_quotient_enumeration():
     assert S((-4, -1, 2, 3), "D") in quotient_elements("D", 0, 3)
 
 
+def test_grassmannian_growth_matches_quotient_filter():
+    # growing only n-Grassmannian elements finds exactly the n-Grassmannian
+    # members of the quotient, in the same (length, window) order
+    for flavor in ("BC", "D"):
+        for n in range(5):
+            max_length = 7 if n == 4 else 8
+            expected = [w for w in quotient_elements(flavor, n, max_length) if is_grassmannian(w, n)]
+            assert enumerate_grassmannian(n, flavor, max_length) == expected, (flavor, n)
+
+
 def test_grassmannian_correspondence_roundtrip():
     for n, flavor in ((1, "BC"), (2, "BC"), (2, "D")):
         for w in enumerate_grassmannian(n, flavor, 4):
