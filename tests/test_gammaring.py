@@ -19,6 +19,8 @@ from schubring.gammaring import (
 )
 from schubring.weyl import SignedPermutation
 
+from oracle_model import oracle_index0, oracle_mul
+
 g = GammaElement.generator
 
 
@@ -114,7 +116,7 @@ def test_oracle_matches_normalization():
     # products whose operands' coefficients carry different powers of two
     for _ in range(20):
         f, h = rand_element("b", rng), rand_element("b", rng) * Dyadic(3, 2)
-        assert oracle_embed(f * h) == _oracle_mul(oracle_embed(f), oracle_embed(h))
+        assert oracle_embed(f * h) == oracle_mul(oracle_embed(f), oracle_embed(h))
 
 
 def test_oracle_detects_corrupted_normal_form():
@@ -245,49 +247,6 @@ def test_index0_reflection_matches_literal_per_term_form(family):
     for _ in range(200):
         f = rand_element(family, rng, 4, 3, 3, nx=3, ny=2)
         assert act_generator(0, f, FLAVOR[family]) == literal_reflection(f, family)
-
-
-def _oracle_mul(a, b):
-    """Product in the oracle model Q[p_1, p_3, ...][x, y]."""
-    def vadd(u, v):
-        w = [0] * max(len(u), len(v))
-        for t in (u, v):
-            for i, e in enumerate(t):
-                w[i] += e
-        while w and not w[-1]:
-            w.pop()
-        return tuple(w)
-
-    out = {}
-    for (l1, x1, y1), c1 in a.items():
-        for (l2, x2, y2), c2 in b.items():
-            k = (tuple(sorted(l1 + l2, reverse=True)), vadd(x1, x2), vadd(y1, y2))
-            out[k] = out.get(k, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
-
-
-def oracle_index0(image, flavor):
-    """The index-0 reflection as a ring map of the oracle model: s_0 is
-    p_k -> p_k + x_1^k, x_1 -> -x_1; the branch node is
-    p_k -> p_k + x_1^k + x_2^k, (x_1, x_2) -> (-x_2, -x_1)."""
-    out = {}
-    for (lam, xk, yk), c in image.items():
-        a = tuple(xk) + (0, 0)
-        if flavor == "BC":
-            piece = {((), xk, yk): c * (-1) ** a[0]}
-        else:
-            moved = list((a[1], a[0]) + a[2:])
-            while moved and not moved[-1]:
-                moved.pop()
-            piece = {((), tuple(moved), yk): c * (-1) ** (a[0] + a[1])}
-        for k in lam:
-            pk = {((k,), (), ()): 1, ((), (k,), ()): 1}
-            if flavor == "D":
-                pk[((), (0, k), ())] = 1
-            piece = _oracle_mul(piece, pk)
-        for key, v in piece.items():
-            out[key] = out.get(key, 0) + v
-    return {k: c for k, c in out.items() if c}
 
 
 @pytest.mark.parametrize("flavor", ["BC", "D"])

@@ -230,6 +230,31 @@ def test_single_memo_matches_transitions():
             assert _single(w, 3) == schubert_transition(w).set_y_zero(), (flavor, w.window)
 
 
+@pytest.mark.parametrize("flavor", ["BC", "D"])
+def test_divided_differences_match_oracle_descent(flavor):
+    # Descend W_3 (W~_3) from the top anchor once per element, dividing in
+    # the power-sum model; every value must be the transition route's, and
+    # the ring's divided difference of the element above must agree.
+    from schubring.gammaring import oracle_embed
+    from schubring.schubert import _anchor
+
+    from oracle_model import oracle_divided_difference
+
+    top = longest_element(3, flavor)
+    model = {top.window: oracle_embed(_anchor(flavor, 3, True))}
+    for w in sorted(enumerate_group("W" if flavor == "BC" else "Wtilde", 3), key=lambda v: -v.length()):
+        if w.window in model:
+            assert model[w.window] == oracle_embed(schubert_transition(w)), w.window
+            continue
+        i = next(i for i in range(3) if not w.has_descent(i))
+        up = w.right_mul_gen(i)
+        got = oracle_divided_difference(model[up.window], i, flavor)
+        assert got == oracle_embed(schubert_transition(w)), (w.window, i)
+        assert oracle_embed(divided_difference(i, schubert_transition(up), flavor=flavor)) == got, (w.window, i)
+        model[w.window] = got
+    assert len(model) == (48 if flavor == "BC" else 24)
+
+
 def test_divdiff_route_uses_no_transition_code(monkeypatch, tmp_path):
     from schubring import schubert as sch
 
