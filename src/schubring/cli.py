@@ -74,9 +74,7 @@ def cmd_compute(args) -> int:
         if args.lie_type in "BD":
             family = "b"
         if args.lie_type == "B":
-            val = sch.schubert_b(w, double=args.double)
-            if args.method == "both":
-                sch.schubert_poly(w.with_flavor("BC"), "BC", method="both")
+            val = sch.schubert_b(w, double=args.double, method=args.method)
         else:
             val = sch.schubert_poly(w, flavor, double=args.double, method=args.method)
         if args.method == "both":

@@ -13,9 +13,13 @@ Gamma (x) Q = Q[p_1, p_3, p_5, ...], with c_p sent to the Schur Q-function
 q_p written in odd power sums (Macdonald, Symmetric Functions and Hall
 Polynomials, III.8).
 
-Products and the index-0 action run on int numerators over one power of two
-per operand, with the terms grouped by subscript tuple, so the rewriting is
-looked up once per pair of tuples (Monagan & Pearce, CASC 2007).
+An element stores int numerators over one power of two, keyed by subscript
+tuple and packed monomial (one int per x/y monomial, so a monomial product is
+an int sum; Monagan & Pearce, CASC 2007).  It is kept canonical: no zero
+numerator, and the exponent is 0 or some numerator is odd.  Products and the
+index-0 action group the terms by subscript tuple, so the rewriting is looked
+up once per pair of tuples.  ``terms`` is a read-only view with exponent
+tuples and Dyadic coefficients.
 
 The type D ring Gamma' = Z[b]/(relations) is Gamma with b_p = c_p / 2: over
 Q, P_lambda = 2^{-l(lambda)} Q_lambda (Macdonald III.8), and substituting
@@ -27,19 +31,45 @@ c_lambda = 2^{l(lambda)} b_lambda.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 
 from .polyring import (
-    D_ONE,
-    D_ZERO,
     Dyadic,
     SparsePoly,
-    _madd,
     _trim,
     complete_sym,
     elem_sym,
 )
+
+# A monomial x^a y^b is one int: x_i in slot 2i - 2 and y_i in slot 2i - 1,
+# _W bits per slot, so a product of monomials is a sum of ints (Monagan &
+# Pearce, CASC 2007).  Every stored monomial has total degree below _DEG, so
+# no slot overflows and m % _DEG is the total degree (the digit sum in base
+# 2^_W).  The masks cover _NV variables of each block.
+_W = 16
+_W2 = 2 * _W
+_SLOT = _DEG = (1 << _W) - 1
+_NV = 256
+_X = sum(_SLOT << (_W2 * i) for i in range(_NV))
+_Y = _X << _W
+
+
+def _pack(xk, yk) -> int:
+    """The packed monomial of x and y exponent sequences."""
+    if len(xk) > _NV or len(yk) > _NV or min((*xk, *yk), default=0) < 0 or sum(xk) + sum(yk) >= _DEG:
+        raise ValueError(f"exponents {tuple(xk)}, {tuple(yk)} do not fit a packed monomial")
+    return sum(e << (_W2 * i) for i, e in enumerate(xk)) + sum(e << (_W2 * i + _W) for i, e in enumerate(yk))
+
+
+def _unpack(m: int) -> tuple:
+    slots = []
+    while m:
+        slots.append(m & _SLOT)
+        m >>= _W
+    return _trim(tuple(slots[0::2])), _trim(tuple(slots[1::2]))
 
 
 @lru_cache(maxsize=None)
@@ -73,173 +103,227 @@ def _square_relation(p: int) -> list[tuple[int, int, int]]:
     return [(p + i, p - i, 2 * (-1) ** (i + 1)) for i in range(1, p + 1)]
 
 
-def _add_into(out: dict, terms: dict, scale=1) -> dict:
-    """out += scale * terms on term dictionaries, in place; returns out.
-
-    Summing k elements this way costs their total size, where a chain of
-    ``total = total + x`` copies the growing total every time.
-    """
-    rescale = scale != 1
-    for k, c in terms.items():
-        if rescale:
-            c = c * scale
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
+def _element(nums: dict, e: int = 0) -> "GammaElement":
+    """The element sum over nums of n / 2^e * key, nums holding no zero, in
+    canonical form: e is 0 or some numerator is odd."""
+    if e and not any(n & 1 for n in nums.values()):
+        v = 0
+        for n in nums.values():
+            v |= n
+        shift = min(e, (v & -v).bit_length() - 1) if v else e
+        nums, e = {k: n >> shift for k, n in nums.items()}, e - shift
+    f = GammaElement.__new__(GammaElement)
+    f.nums, f.exp = nums, e
+    return f
 
 
-def _numerators(terms: dict) -> tuple[dict, int]:
-    """Group terms by subscript tuple as int numerators over one power of two:
-    ({subs: {(xk, yk): num}}, e), each coefficient being num / 2^e."""
-    e = max((c.exp for c in terms.values()), default=0)
+def _gsum(pairs) -> "GammaElement":
+    """The sum of scale * f over (f, int scale) pairs, accumulated in place
+    in int numerators over the largest power of two met so far."""
+    out: dict = {}
+    e = 0
+    for f, scale in pairs:
+        if not out:
+            out, e = (dict(f.nums) if scale == 1 else {k: n * scale for k, n in f.nums.items()}), f.exp
+            continue
+        if f.exp > e:
+            out, e = {k: n << (f.exp - e) for k, n in out.items()}, f.exp
+        scale <<= e - f.exp
+        get = out.get
+        for k, n in f.nums.items():
+            n = get(k, 0) + n * scale
+            if n:
+                out[k] = n
+            else:
+                del out[k]
+    return _element(out, e)
+
+
+def _xy_degree(f: "GammaElement") -> int:
+    """The largest x/y degree of a monomial of f."""
+    return max(map(_DEG.__rmod__, map(itemgetter(1), f.nums)), default=0)
+
+
+def _groups(nums: dict) -> dict:
+    """Numerators grouped by subscript tuple: {subs: {packed monomial: n}}."""
     groups: dict = {}
-    for (subs, xk, yk), c in terms.items():
-        groups.setdefault(subs, {})[(xk, yk)] = c.num << (e - c.exp)
-    return groups, e
+    for (s, m), n in nums.items():
+        g = groups.get(s)
+        if g is None:
+            g = groups[s] = {}
+        g[m] = n
+    return groups
 
 
 def _group_product(g1: dict, g2: dict) -> dict:
     """The product of two grouped int elements, grouped the same way by
-    strict subscript tuple.  Per pair of groups the x/y products are formed
-    once and ``_strictify`` is called once; zero numerators may remain."""
+    strict subscript tuple.  Per pair of groups the monomial products are
+    formed once and ``_strictify`` is called once; zero numerators may
+    remain."""
     out: dict = {}
     for s1, m1 in g1.items():
         for s2, m2 in g2.items():
-            prod: dict = {}
-            for (x1, y1), n1 in m1.items():
-                for (x2, y2), n2 in m2.items():
-                    k = (_madd(x1, x2), _madd(y1, y2))
+            strict = _strictify(tuple(sorted(s1 + s2, reverse=True)))
+            direct = len(strict) == 1 and strict[0][1] == 1
+            prod = out.setdefault(strict[0][0], {}) if direct else {}
+            items2 = m2.items()
+            for a, n1 in m1.items():
+                for b, n2 in items2:
+                    k = a + b
                     prod[k] = prod.get(k, 0) + n1 * n2
-            for strict, mult in _strictify(tuple(sorted(s1 + s2, reverse=True))):
-                acc = out.setdefault(strict, {})
-                for k, n in prod.items():
-                    acc[k] = acc.get(k, 0) + n * mult
+            if not direct:
+                for s, mult in strict:
+                    acc = out.setdefault(s, {})
+                    for k, n in prod.items():
+                        acc[k] = acc.get(k, 0) + n * mult
     return out
+
+
+class _Terms(Mapping):
+    """Read-only view {(subscripts, x-exponents, y-exponents): Dyadic} of an
+    element, with trimmed exponent tuples."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f: "GammaElement"):
+        self._f = f
+
+    def __len__(self) -> int:
+        return len(self._f.nums)
+
+    def __iter__(self):
+        return ((s, *_unpack(m)) for s, m in self._f.nums)
+
+    def __getitem__(self, key) -> Dyadic:
+        subs, xk, yk = key
+        return Dyadic(self._f.nums[(tuple(subs), _pack(xk, yk))], self._f.exp)
+
+    def items(self):
+        e = self._f.exp
+        return [((s, *_unpack(m)), Dyadic(n, e)) for (s, m), n in self._f.nums.items()]
 
 
 class GammaElement:
     """An element of Gamma[X, Y].
 
-    terms maps (subscripts, x-exponents, y-exponents) to a Dyadic coefficient,
-    with the subscript tuple strictly decreasing.  Treated as immutable.
+    nums maps (subscripts, packed monomial) to an int numerator over the
+    common denominator 2^exp, with the subscript tuple strictly decreasing;
+    ``terms`` views the same element with exponent tuples and Dyadic
+    coefficients.  Treated as immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "exp")
 
     def __init__(self, terms: dict | None = None):
-        self.terms = terms if terms is not None else {}
+        """From {(subscripts, x-exps, y-exps): Dyadic}, subscripts strict."""
+        f = GammaElement.from_raw((s, x, y, c) for (s, x, y), c in (terms or {}).items())
+        self.nums, self.exp = f.nums, f.exp
+
+    @property
+    def terms(self) -> _Terms:
+        return _Terms(self)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero() -> "GammaElement":
-        return GammaElement()
+        return _element({})
 
     @staticmethod
     def const(c) -> "GammaElement":
-        c = Dyadic(c) if isinstance(c, int) else c
-        return GammaElement({((), (), ()): c} if c else {})
+        return GammaElement.from_raw([((), (), (), c)])
 
     @staticmethod
     def generator(p: int) -> "GammaElement":
         """c_p, with subscript 0 meaning 1 and negative meaning 0."""
-        if p < 0:
-            return GammaElement()
-        if p == 0:
-            return GammaElement.const(1)
-        return GammaElement({((p,), (), ()): D_ONE})
+        return GammaElement.from_raw([((p,), (), (), 1)])
 
     @staticmethod
     def from_raw(raw_terms) -> "GammaElement":
-        """Normalize a list of (subscript multiset, x-exps, y-exps, coeff).
+        """Normalize (subscript multiset, x-exps, y-exps, int or Dyadic coeff)
+        terms.
 
         Subscripts may repeat and may be <= 0 (0 is dropped, negative kills
         the term); the result is in normal form.
         """
+        raw = [(s, x, y, Dyadic(c) if isinstance(c, int) else c) for s, x, y, c in raw_terms]
+        e = max((c.exp for *_, c in raw), default=0)
         out: dict = {}
-        for subs, xk, yk, coeff in raw_terms:
-            coeff = Dyadic(coeff) if isinstance(coeff, int) else coeff
-            if not coeff:
-                continue
+        for subs, xk, yk, c in raw:
             subs = tuple(sorted((s for s in subs if s != 0), reverse=True))
-            if subs and subs[-1] < 0:
+            if not c or (subs and subs[-1] < 0):
                 continue
-            key_x, key_y = _trim(tuple(xk)), _trim(tuple(yk))
+            m, n = _pack(xk, yk), c.num << (e - c.exp)
             for strict, mult in _strictify(subs):
-                k = (strict, key_x, key_y)
-                s = out.get(k, D_ZERO) + coeff * mult
+                k = (strict, m)
+                s = out.get(k, 0) + n * mult
                 if s:
                     out[k] = s
-                elif k in out:
-                    del out[k]
-        return GammaElement(out)
+                else:
+                    out.pop(k, None)
+        return _element(out, e)
 
     @staticmethod
     def from_poly(poly: SparsePoly) -> "GammaElement":
         """Embed a plain polynomial in x and y."""
-        return GammaElement({((), xk, yk): c for (xk, yk), c in poly.terms.items()})
+        return GammaElement.from_raw(((), xk, yk, c) for (xk, yk), c in poly.terms.items())
 
     @staticmethod
     def monomial(xk=(), yk=()) -> "GammaElement":
-        assert all(e >= 0 for e in xk) and all(e >= 0 for e in yk)
-        return GammaElement({((), _trim(tuple(xk)), _trim(tuple(yk))): D_ONE})
+        return GammaElement.from_raw([((), xk, yk, 1)])
 
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other: "GammaElement") -> "GammaElement":
-        return GammaElement(_add_into(dict(self.terms), other.terms))
+        return _gsum(((self, 1), (other, 1)))
 
     def __sub__(self, other: "GammaElement") -> "GammaElement":
-        return self + (-other)
+        return _gsum(((self, 1), (other, -1)))
 
     def __neg__(self) -> "GammaElement":
-        return GammaElement({k: -c for k, c in self.terms.items()})
+        return _element({k: -n for k, n in self.nums.items()}, self.exp)
 
     def __mul__(self, other) -> "GammaElement":
         if isinstance(other, (int, Dyadic)):
             c = Dyadic(other) if isinstance(other, int) else other
-            if not c:
-                return GammaElement()
-            return GammaElement({k: v * c for k, v in self.terms.items()})
-        (g1, e1), (g2, e2) = _numerators(self.terms), _numerators(other.terms)
-        prod, out = _group_product(g1, g2), {}
-        while prod:  # group by group, so the int copy shrinks as the result grows
+            return _element({k: n * c.num for k, n in self.nums.items()} if c else {}, self.exp + c.exp)
+        if _xy_degree(self) + _xy_degree(other) >= _DEG:
+            raise ValueError("the product's degree overflows a packed exponent slot")
+        if len(other.nums) == 1 and not next(iter(other.nums))[0]:
+            self, other = other, self
+        if len(self.nums) == 1 and not next(iter(self.nums))[0]:  # a monomial shifts the keys
+            ((_, mono), c), = self.nums.items()
+            return _element({(s, m + mono): n * c for (s, m), n in other.nums.items()}, self.exp + other.exp)
+        prod, out = _group_product(_groups(self.nums), _groups(other.nums)), {}
+        while prod:  # group by group, so the grouped copy shrinks as the result grows
             s, acc = prod.popitem()
-            out.update(((s, xk, yk), Dyadic(n, e1 + e2)) for (xk, yk), n in acc.items() if n)
-        return GammaElement(out)
+            out.update(((s, m), n) for m, n in acc.items() if n)
+        return _element(out, self.exp + other.exp)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GammaElement) and self.terms == other.terms
+        return isinstance(other, GammaElement) and self.exp == other.exp and self.nums == other.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- inspection ------------------------------------------------------------
 
     def degree(self) -> int:
-        return max(
-            (sum(s) + sum(x) + sum(y) for s, x, y in self.terms), default=0
-        )
+        return max((sum(s) + m % _DEG for s, m in self.nums), default=0)
 
     def coeff(self, subs=(), xk=(), yk=()) -> Dyadic:
-        return self.terms.get(
-            (tuple(subs), _trim(tuple(xk)), _trim(tuple(yk))), D_ZERO
-        )
+        return Dyadic(self.nums.get((tuple(subs), _pack(xk, yk)), 0), self.exp)
 
     def max_xvar(self) -> int:
-        return max((len(x) for _, x, _ in self.terms), default=0)
+        return (max((m & _X for _, m in self.nums), default=0).bit_length() + _W2 - 1) // _W2
 
     def max_yvar(self) -> int:
-        return max((len(y) for _, _, y in self.terms), default=0)
+        return (max((m & _Y for _, m in self.nums), default=0).bit_length() + _W - 1) // _W2
 
     def is_integral(self) -> bool:
-        return all(c.is_integer for c in self.terms.values())
+        return self.exp == 0
 
     def sorted_terms(self) -> list:
         return sorted(
@@ -251,7 +335,7 @@ class GammaElement:
         )
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
         for (subs, xk, yk), c in self.sorted_terms():
@@ -271,22 +355,15 @@ class GammaElement:
 
     def restrict_vars(self, n: int) -> "GammaElement":
         """Set x_j = y_j = 0 for j > n (the primed polynomial)."""
-        return GammaElement(
-            {
-                k: c
-                for k, c in self.terms.items()
-                if len(k[1]) <= n and len(k[2]) <= n
-            }
-        )
+        top = 1 << (_W2 * n)
+        return _element({k: c for k, c in self.nums.items() if k[1] < top}, self.exp)
 
     def set_y_zero(self) -> "GammaElement":
-        return GammaElement({k: c for k, c in self.terms.items() if not k[2]})
+        return _element({k: c for k, c in self.nums.items() if not k[1] & _Y}, self.exp)
 
     def negate_x(self) -> "GammaElement":
         """Substitute x_i -> -x_i for all i."""
-        return GammaElement(
-            {k: (c if sum(k[1]) % 2 == 0 else -c) for k, c in self.terms.items()}
-        )
+        return _element({k: -c if (k[1] & _X) % _DEG & 1 else c for k, c in self.nums.items()}, self.exp)
 
     def permute_x(self, w) -> "GammaElement":
         """Substitute x_i -> sign(w_i) x_{|w_i|} for a type A / signed window.
@@ -294,32 +371,26 @@ class GammaElement:
         Valid as the full ring action only for elements with no generator part
         or when w fixes the generators (e.g. w in S_infinity).
         """
-        out: dict = {}
-        for (subs, xk, yk), c in self.terms.items():
+        raw = []
+        for (subs, m), n in self.nums.items():
+            xk, yk = _unpack(m)
             new = [0] * max((abs(w(i + 1)) for i in range(len(xk))), default=0)
             sign = 1
             for i, e in enumerate(xk):
-                if not e:
-                    continue
                 img = w(i + 1)
                 new[abs(img) - 1] += e
                 if img < 0 and e % 2 == 1:
                     sign = -sign
-            k = (subs, _trim(tuple(new)), yk)
-            s = out.get(k, D_ZERO) + (c if sign == 1 else -c)
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return GammaElement(out)
+            raw.append((subs, new, yk, Dyadic(sign * n, self.exp)))
+        return GammaElement.from_raw(raw)
 
     def omega(self) -> "GammaElement":
         """The involution x_j -> -y_j, y_j -> -x_j, fixing the generators."""
         out = {}
-        for (subs, xk, yk), c in self.terms.items():
-            sign = (-1) ** ((sum(xk) + sum(yk)) % 2)
-            out[(subs, yk, xk)] = c * sign
-        return GammaElement(out)
+        for (subs, m), n in self.nums.items():
+            x = m & _X
+            out[(subs, (x << _W) | ((m - x) >> _W))] = -n if m % _DEG & 1 else n
+        return _element(out, self.exp)
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +400,23 @@ class GammaElement:
 
 @lru_cache(maxsize=None)
 def _s0_image(p: int) -> dict:
-    """s_0(c_p) = c_p + 2 sum_{j=1}^p x_1^j c_{p-j}, grouped as by _numerators."""
+    """s_0(c_p) = c_p + 2 sum_{j=1}^p x_1^j c_{p-j}, grouped as by _groups."""
     raw = [((p,), (), (), 1)]
     for j in range(1, p + 1):
         raw.append(([p - j], (j,), (), 2))
-    return _numerators(GammaElement.from_raw(raw).terms)[0]
+    return _groups(GammaElement.from_raw(raw).nums)
 
 
 @lru_cache(maxsize=None)
 def _sbox_image(p: int) -> dict:
     """s_box(c_p) = c_p + 2 (x1+x2) sum_{j=0}^{p-1} h_j(x1,x2) c_{p-1-j},
-    grouped as by _numerators."""
+    grouped as by _groups."""
     lin = GammaElement.from_poly(SparsePoly.var("x", 1) + SparsePoly.var("x", 2))
     total = GammaElement.zero()
     for j in range(0, p):
         hj = GammaElement.from_poly(complete_sym(2, j, "x"))
         total = total + hj * GammaElement.generator(p - 1 - j)
-    return _numerators((GammaElement.generator(p) + lin * total * 2).terms)[0]
+    return _groups((GammaElement.generator(p) + lin * total * 2).nums)
 
 
 def act_generator(i: int, f: GammaElement, flavor: str = "BC") -> GammaElement:
@@ -356,22 +427,22 @@ def act_generator(i: int, f: GammaElement, flavor: str = "BC") -> GammaElement:
     """
     if i >= 1:
         # swapping x_i and x_{i+1} is a bijection on monomials: no terms meet
-        out: dict = {}
-        for (subs, xk, yk), c in f.terms.items():
-            lst = list(xk) + [0] * max(0, i + 1 - len(xk))
-            lst[i - 1], lst[i] = lst[i], lst[i - 1]
-            out[(subs, _trim(tuple(lst)), yk)] = c
-        return GammaElement(out)
+        at = _W2 * (i - 1)
+        step = (1 << (at + _W2)) - (1 << at)
+        return _element(
+            {(s, m + (((m >> at) & _SLOT) - ((m >> (at + _W2)) & _SLOT)) * step): n for (s, m), n in f.nums.items()},
+            f.exp,
+        )
     # s_0 (flavor BC): x_1 -> -x_1; branch node (flavor D): (x1, x2) ->
-    # (-x2, -x1).  The moved monomials and their signs go into int numerators
-    # over one power of two, grouped by subscript tuple.  In sorted order,
-    # stack[j] is the y-free image of the first j subscripts, so each group's
-    # image extends the longest prefix it shares with the previous tuple.
+    # (-x2, -x1).  The moved monomials and their signs go into the int
+    # numerators, grouped by subscript tuple.  In sorted order, stack[j] is
+    # the y-free image of the first j subscripts, so each group's image
+    # extends the longest prefix it shares with the previous tuple.
     branch = flavor == "D"
     image = _sbox_image if branch else _s0_image
-    groups, e = _numerators(f.terms)
+    groups = _groups(f.nums)
     out: dict = {}
-    stack = [{(): {((), ()): 1}}]
+    stack = [{(): {0: 1}}]
     prev: tuple = ()
     for subs in sorted(groups):
         j = 0
@@ -381,18 +452,19 @@ def act_generator(i: int, f: GammaElement, flavor: str = "BC") -> GammaElement:
         for p in subs[j:]:
             stack.append(_group_product(stack[-1], image(p)))
         prev = subs
-        img = [(s2, x2, n2) for s2, acc in stack[-1].items() for (x2, _), n2 in acc.items() if n2]
-        for (xk, yk), n in groups[subs].items():
-            a1, a2 = (xk + (0, 0))[:2]
-            odd = a1 % 2
+        img = [(s2, m2, n2) for s2, acc in stack[-1].items() for m2, n2 in acc.items() if n2]
+        for m, n in groups[subs].items():
+            odd = m & 1
             if branch:
-                xk = _trim((a2, a1) + xk[2:])
-                odd = (a1 + a2) % 2
-            n = -n if odd else n
-            for s2, x2, n2 in img:
-                k = (s2, _madd(xk, x2), yk)
+                d = ((m >> _W2) & _SLOT) - (m & _SLOT)
+                odd = (m ^ (m >> _W2)) & 1
+                m += d - (d << _W2)
+            if odd:
+                n = -n
+            for s2, m2, n2 in img:
+                k = (s2, m + m2)
                 out[k] = out.get(k, 0) + n * n2
-    return GammaElement({k: Dyadic(n, e) for k, n in out.items() if n})
+    return _element({k: n for k, n in out.items() if n}, f.exp)
 
 
 def weyl_act(w, f: GammaElement) -> GammaElement:
@@ -409,22 +481,17 @@ def weyl_act(w, f: GammaElement) -> GammaElement:
 
 @lru_cache(maxsize=None)
 def c_entry(k: int, kprime: int, p: int) -> GammaElement:
-    """{}^k c^{k'}_p = sum_{i,j} c_{p-j-i} h^{-k}_i(X) h^{k'}_j(-Y)."""
-    if p < 0:
-        return GammaElement.zero()
-    out = GammaElement.zero()
-    for i in range(0, p + 1):
-        hx = complete_sym(-k, i, "x")
-        if not hx:
-            continue
-        hxe = GammaElement.from_poly(hx)
-        for j in range(0, p - i + 1):
-            hy = complete_sym(kprime, j, "-y")
-            if not hy:
-                continue
-            gen = GammaElement.generator(p - i - j)
-            out = out + gen * hxe * GammaElement.from_poly(hy)
-    return out
+    """{}^k c^{k'}_p = sum_{i,j} c_{p-j-i} h^{-k}_i(X) h^{k'}_j(-Y).
+
+    The h factors are in x alone and in y alone, so every product of their
+    terms is a distinct monomial."""
+    return GammaElement.from_raw(
+        ((p - i - j,), xk, yk, cx * cy)
+        for i in range(0, p + 1)
+        for (xk, _), cx in complete_sym(-k, i, "x").terms.items()
+        for j in range(0, p - i + 1)
+        for (_, yk), cy in complete_sym(kprime, j, "-y").terms.items()
+    )
 
 
 @lru_cache(maxsize=None)

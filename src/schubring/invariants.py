@@ -1,11 +1,12 @@
 """Invariant subrings, kernel/ideal graded pieces, Hilbert series, free-module
 certificates and dual-basis orthogonality, all over exact rationals.
 
-Graded pieces are handled as explicit coefficient vectors with respect to the
-monomial basis of the ambient ring (generator monomials on strict partitions
-times x/y monomials); ranks and span comparisons use sparse fraction-free
-elimination over Q on primitive integer rows (Bareiss, Math. Comp. 22, 1968),
-so every report is exact.
+Graded pieces are handled as coefficient rows with respect to the monomial
+basis of the ambient ring (generator monomials on strict partitions times x/y
+monomials), read straight off the elements' int numerators as primitive
+integer rows; ranks and span comparisons use sparse fraction-free
+elimination over Q on them (Bareiss, Math. Comp. 22, 1968), so every report
+is exact.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from ._record import Record
 from .polyring import D_ONE, elem_sym, supersym_e
 from .gammaring import (
     GammaElement,
+    _pack,
     act_generator,
     btilde,
     level_b,
@@ -82,25 +84,46 @@ def monomial_basis(n: int, d: int, with_y: bool) -> tuple:
     return tuple(sorted(set(keys)))
 
 
-# id(basis) -> (basis, {key: column}); holding the basis keeps its id from reuse
+# id(basis) -> (basis, {(subscripts, packed monomial): column}); holding the
+# basis keeps its id from reuse
 _COLUMNS: dict = {}
+
+
+def _columns(basis: tuple) -> dict:
+    got = _COLUMNS.get(id(basis))
+    if got is None:
+        got = _COLUMNS[id(basis)] = (basis, {(s, _pack(x, y)): i for i, (s, x, y) in enumerate(basis)})
+    return got[1]
 
 
 def to_vector(f: GammaElement, basis: tuple) -> list[Fraction]:
     from fractions import Fraction
-    got = _COLUMNS.get(id(basis))
-    if got is None:
-        got = _COLUMNS[id(basis)] = (basis, {k: i for i, k in enumerate(basis)})
-    index = got[1]
     vec = [Fraction(0)] * len(basis)
-    for k, c in f.terms.items():
-        vec[index[k]] = c.as_fraction()
+    index = _columns(basis)
+    for k, n in f.nums.items():
+        vec[index[k]] = Fraction(n, 1 << f.exp)
     return vec
 
 
+def _row(elements, basis: tuple) -> dict[int, int]:
+    """The primitive integer row {column: int} of the elements laid side by
+    side, each over the basis, read off their numerators brought to one
+    power of two."""
+    index, width = _columns(basis), len(basis)
+    e = max((f.exp for f in elements), default=0)
+    row = {}
+    for j, f in enumerate(elements):
+        for k, n in f.nums.items():
+            row[index[k] + j * width] = n << (e - f.exp)
+    g = gcd(*row.values())
+    return {c: n // g for c, n in row.items()} if g > 1 else row
+
+
 def _primitive_row(row) -> dict[int, int]:
-    """The primitive integer multiple of a rational row as {column: int}."""
-    entries = [(j, v.numerator, v.denominator) for j, v in enumerate(row) if v]
+    """The primitive integer multiple of a rational row, dense or
+    {column: value}, as {column: int}."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    entries = [(j, v.numerator, v.denominator) for j, v in items if v]
     den = lcm(*(q for _, _, q in entries))
     g = gcd(*(p for _, p, _ in entries))
     return {j: p * (den // q) // g for j, p, q in entries}
@@ -130,11 +153,11 @@ def _reduce(row: dict[int, int], pivots: dict) -> dict[int, int]:
 
 
 def echelon(rows) -> dict[int, dict[int, int]]:
-    """Sparse fraction-free echelon form over Q of rational rows: the nonzero
-    reduced rows as primitive integer rows, keyed by their leading column."""
+    """Sparse fraction-free echelon form over Q of primitive integer rows:
+    the nonzero reduced rows, keyed by their leading column."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = _reduce(_primitive_row(row), pivots)
+        r = _reduce(row, pivots)
         if r:
             lead = min(r)
             pivots[lead] = r if r[lead] > 0 else {j: -v for j, v in r.items()}
@@ -148,15 +171,15 @@ def _same_span(ea: dict, eb: dict) -> bool:
 
 def exact_rank(rows: list[list[Fraction]]) -> int:
     """Rank over Q."""
-    return len(echelon(rows))
+    return len(echelon(map(_primitive_row, rows)))
 
 
 def spans_equal(avecs: list, bvecs: list) -> bool:
-    return _same_span(echelon(avecs), echelon(bvecs))
+    return _same_span(echelon(map(_primitive_row, avecs)), echelon(map(_primitive_row, bvecs)))
 
 
 def in_span(vectors: list, target: list) -> bool:
-    return not _reduce(_primitive_row(target), echelon(vectors))
+    return not _reduce(_primitive_row(target), echelon(map(_primitive_row, vectors)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +224,15 @@ def generator_set(tag: str, n: int, max_degree: int) -> GeneratorSet:
     return GeneratorSet(tag, n, tuple(els))
 
 
-def _monomial_multiples(g: GammaElement, n: int, d: int, with_y: bool) -> list:
-    """All monomial * g with the monomial of complementary degree."""
-    gdeg = g.degree()
-    out = []
-    for key in monomial_basis(n, d - gdeg, with_y):
-        m = GammaElement({key: D_ONE})
-        out.append(m * g)
-    return out
-
-
 def ideal_piece_vectors(gens: GeneratorSet, n: int, d: int, with_y: bool, basis) -> list:
-    vecs = []
-    for gdeg, g in gens.elements:
-        if gdeg <= d:
-            for m in _monomial_multiples(g, n, d, with_y):
-                vecs.append(to_vector(m, basis))
-    return vecs
+    """Primitive integer rows of the degree-d multiples of the generators by
+    basis monomials."""
+    return [
+        _row((GammaElement({key: D_ONE}) * g,), basis)
+        for gdeg, g in gens.elements
+        if gdeg <= d
+        for key in monomial_basis(n, d - gdeg, with_y)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +261,9 @@ def invariant_basis_rank(n: int, d: int, flavor: str = "BC"):
     mat = []
     for key in basis:
         m = GammaElement({key: D_ONE})
-        row: list = []
-        for i in gen_indices(n, flavor):
-            row.extend(to_vector(act_generator(i, m, flavor) - m, basis))
-        mat.append(row)
-    dim_inv = len(basis) - exact_rank(mat)
-    span_vecs = [to_vector(t, basis) for t in _theta_family(n, d, flavor)]
-    return dim_inv, exact_rank(span_vecs)
+        mat.append(_row([act_generator(i, m, flavor) - m for i in gen_indices(n, flavor)], basis))
+    dim_inv = len(basis) - len(echelon(mat))
+    return dim_inv, len(echelon(_row((t,), basis) for t in _theta_family(n, d, flavor)))
 
 
 def _theta_family(n: int, d: int, flavor: str) -> list[GammaElement]:
@@ -290,7 +301,7 @@ def schubert_span_vectors(n: int, d: int, flavor: str, basis) -> list:
                 while ykey and ykey[-1] == 0:
                     ykey = ykey[:-1]
                 m = GammaElement({((), (), ykey): D_ONE})
-                vecs.append(to_vector(m * cs, basis))
+                vecs.append(_row((m * cs,), basis))
     return vecs
 
 
@@ -315,8 +326,7 @@ def quotient_hilbert_series(n: int, flavor: str, max_d: int) -> list[int]:
     out = []
     for d in range(max_d + 1):
         basis = monomial_basis(n, d, with_y=False)
-        vecs = ideal_piece_vectors(gens, n, d, False, basis)
-        out.append(len(basis) - exact_rank(vecs))
+        out.append(len(basis) - len(echelon(ideal_piece_vectors(gens, n, d, False, basis))))
     return out
 
 
@@ -344,8 +354,7 @@ def supersym_congruence(n: int, p: int | None = None, lam=None) -> dict:
     v = v.restrict_vars(n)
     basis = monomial_basis(n, d, with_y=True)
     gens = generator_set("gamma-hat", n, d)
-    vecs = ideal_piece_vectors(gens, n, d, True, basis)
-    ok = in_span(vecs, to_vector(v, basis)) if v else True
+    ok = not _reduce(_row((v,), basis), echelon(ideal_piece_vectors(gens, n, d, True, basis)))
     return {"degree": d, "member": ok}
 
 
@@ -392,15 +401,13 @@ def free_module_certificate(n: int, flavor: str = "BC", max_d: int = 6) -> dict:
     report = {"cardinality": len(mod_basis), "expected": expected, "degrees": {}}
     for d in range(max_d + 1):
         basis = monomial_basis(n, d, with_y=False)
-        vecs = []
-        count = 0
-        for gdeg, g in mod_basis:
-            if gdeg > d:
-                continue
-            for inv in _theta_family(n, d - gdeg, flavor):
-                vecs.append(to_vector(inv * g, basis))
-                count += 1
-        rank = exact_rank(vecs)
+        vecs = [
+            _row((inv * g,), basis)
+            for gdeg, g in mod_basis
+            if gdeg <= d
+            for inv in _theta_family(n, d - gdeg, flavor)
+        ]
+        count, rank = len(vecs), len(echelon(vecs))
         report["degrees"][d] = {
             "ambient_dim": len(basis),
             "family_size": count,

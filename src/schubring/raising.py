@@ -22,7 +22,7 @@ from ._record import Record
 from .polyring import Dyadic, SparsePoly, elem_sym, supersym_e
 from .gammaring import (
     GammaElement,
-    _add_into,
+    _gsum,
     c_entry,
     c_hat_entry,
     level_c,
@@ -113,11 +113,9 @@ def expand(
     for row in range(ell, 0, -1):
         up: dict = {}
         for key, val in vals.items():
-            e = entry_fn(row, *key[-1])
-            if e and val:
-                _add_into(up.setdefault(key[:-1], {}), (e * val).terms)
-        vals = {k: GammaElement(t) for k, t in up.items()}
-    total = vals.get((), GammaElement())
+            up.setdefault(key[:-1], []).append((key[-1], val))
+        vals = {k: _gsum((entry_fn(row, *last) * val, 1) for last, val in lst) for k, lst in up.items()}
+    total = vals.get((), GammaElement.zero())
     if isinstance(prefactor, int):
         prefactor = Dyadic(prefactor)
     return total * prefactor
@@ -238,11 +236,9 @@ def _pfaffian_value_blocks(spec: PfaffianSpec) -> GammaElement:
         if not rows:
             return GammaElement.const(1)
         first, rest = rows[0], rows[1:]
-        total: dict = {}
-        for t, j in enumerate(rest):
-            term = block(first, j) * pf(rest[:t] + rest[t + 1 :])
-            _add_into(total, term.terms, -1 if t % 2 else 1)
-        return GammaElement(total)
+        return _gsum(
+            (block(first, j) * pf(rest[:t] + rest[t + 1 :]), -1 if t % 2 else 1) for t, j in enumerate(rest)
+        )
 
     return pf(tuple(range(r)))
 
@@ -374,7 +370,7 @@ def eta(n: int, lam, double: bool = False) -> GammaElement:
     if not double:
         val = val.set_y_zero()
     # integral in the b basis, where c_lambda = 2^{l(lambda)} b_lambda
-    if not all(c.times_pow2(len(s)).is_integer for (s, _, _), c in val.terms.items()):
+    if any(n % (1 << max(val.exp - len(s), 0)) for (s, _), n in val.nums.items()):
         raise ArithmeticError("eta polynomial is not integral in the b-basis")
     if val.max_xvar() > n:
         raise ArithmeticError(f"eta polynomial has variables beyond x_{n}")
@@ -425,11 +421,9 @@ def ptilde(lam, n: int, signed: bool = False) -> SparsePoly:
 
 def gamma_to_poly(f: GammaElement) -> SparsePoly:
     """Convert a generator-free ring element to a plain polynomial."""
-    out = {}
-    for (subs, xk, yk), c in f.terms.items():
-        assert not subs, "element has generator content"
-        out[(xk, yk)] = c
-    return SparsePoly(out)
+    if any(subs for subs, _, _ in f.terms):
+        raise ValueError("element has generator content")
+    return SparsePoly({(xk, yk): c for (_, xk, yk), c in f.terms.items()})
 
 
 # ---------------------------------------------------------------------------

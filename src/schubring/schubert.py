@@ -15,10 +15,14 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
-from .polyring import D_ZERO, Dyadic
+from .polyring import Dyadic
 from .gammaring import (
+    _DEG,
+    _SLOT,
+    _W,
     GammaElement,
-    _add_into,
+    _element,
+    _gsum,
     act_generator,
     weyl_act,
 )
@@ -41,61 +45,43 @@ from .raising import PfaffianSpec, multi_schur_pfaffian
 
 
 def _divide_by_x1(g: GammaElement, factor: int) -> GammaElement:
-    """Exact division by factor * x_1 (used for the sign-change operator)."""
+    """Exact division by factor * x_1, factor = +-2 (the sign-change operator)."""
+    sign = 1 if factor == 2 else -1
     out = {}
-    for (subs, xk, yk), c in g.terms.items():
-        if not xk or xk[0] < 1:
+    for (subs, m), n in g.nums.items():
+        if not m & _SLOT:
             raise ArithmeticError("numerator not divisible by x_1")
-        nx = (xk[0] - 1,) + xk[1:]
-        while nx and nx[-1] == 0:
-            nx = nx[:-1]
-        out[(subs, nx, yk)] = c.half() * (1 if factor == 2 else -1)
-    return GammaElement(out)
+        out[(subs, m - 1)] = n * sign
+    return _element(out, g.exp + 1)
 
 
 def _divide_uv(g: GammaElement, i: int, plus: bool) -> GammaElement:
     """Exact division by (x_i - x_{i+1}) or, with plus=True, by (x_i + x_{i+1}).
 
-    Synthetic division in x_i; a nonzero remainder raises ArithmeticError.
+    Synthetic division in x_i, from the top power down: a term n x_i^a r
+    puts n x_i^{a-1} r in the quotient and carries -+n x_i^{a-1} x_{i+1} r
+    one power down.  A nonzero remainder raises ArithmeticError.
     """
-    buckets: dict[int, dict] = {}
-    for (subs, xk, yk), c in g.terms.items():
-        a = xk[i - 1] if len(xk) >= i else 0
-        rest = list(xk) + [0] * max(0, i + 1 - len(xk))
-        rest[i - 1] = 0
-        bucket = buckets.setdefault(a, {})
-        k = (subs, tuple(rest), yk)
-        bucket[k] = bucket.get(k, D_ZERO) + c
-    out: dict = {}
+    at = 2 * _W * (i - 1)
+    unit = 1 << at  # x_i, packed
+    carry = (unit << 2 * _W) - unit  # times x_{i+1} / x_i
     carry_sign = -1 if plus else 1
-    amax = max(buckets.keys(), default=0)
-    for a in range(amax, 0, -1):
-        if a not in buckets:
-            continue
-        for (subs, rest, yk), c in buckets[a].items():
-            if not c:
+    buckets: dict[int, dict] = {}
+    for k, n in g.nums.items():
+        buckets.setdefault((k[1] >> at) & _SLOT, {})[k] = n
+    out: dict = {}
+    for a in range(max(buckets, default=0), 0, -1):
+        below = buckets.setdefault(a - 1, {})
+        for (subs, m), n in buckets.pop(a, {}).items():
+            if not n:
                 continue
-            # quotient term x_i^{a-1} * rest
-            q = list(rest)
-            q[i - 1] = a - 1
-            qk = tuple(q)
-            while qk and qk[-1] == 0:
-                qk = qk[:-1]
-            kq = (subs, qk, yk)
-            s = out.get(kq, D_ZERO) + c
-            if s:
-                out[kq] = s
-            elif kq in out:
-                del out[kq]
-            # carry +/- x_i^{a-1} x_{i+1} * rest into the next bucket
-            r2 = list(rest)
-            r2[i] += 1
-            k2 = (subs, tuple(r2), yk)
-            dst = buckets.setdefault(a - 1, {})
-            dst[k2] = dst.get(k2, D_ZERO) + c * carry_sign
+            # quotient keys have distinct x_i-degrees across buckets: none meet
+            out[(subs, m - unit)] = n
+            k = (subs, m + carry)
+            below[k] = below.get(k, 0) + n * carry_sign
     if any(buckets.get(0, {}).values()):
         raise ArithmeticError("division left a nonzero remainder")
-    return GammaElement(out)
+    return _element(out, g.exp)
 
 
 def divided_difference(
@@ -331,19 +317,20 @@ def schubert_divdiff(w: SignedPermutation, flavor: str | None = None) -> GammaEl
     if got is not None and "divdiff" in _TABLE.provenance[key]:
         return got
     m = max(w.support, 2 if flavor == "D" else 1)
-    total: dict = {}
-    for u in enumerate_group("S", m):
-        v = u.inverse().with_flavor(flavor) * w
-        if u.length() + v.length() == w.length():
-            _add_into(total, (_type_a_at_minus_y(u.inverse().window) * _single(v, m)).terms)
-    return _TABLE.store(key, GammaElement(total), "divdiff")
+    pairs = ((u.inverse(), u.inverse().with_flavor(flavor) * w) for u in enumerate_group("S", m))
+    total = _gsum(
+        (_type_a_at_minus_y(ui.window) * _single(v, m), 1)
+        for ui, v in pairs
+        if ui.length() + v.length() == w.length()
+    )
+    return _TABLE.store(key, total, "divdiff")
 
 
 @lru_cache(maxsize=None)
 def _type_a_at_minus_y(window: tuple) -> GammaElement:
     """The single type A polynomial of the window, evaluated at x = -y."""
     f = schubert_poly(SignedPermutation(window, "A"), "A", double=False)
-    return GammaElement({((), (), xk): -c if sum(xk) % 2 else c for (_, xk, _), c in f.terms.items()})
+    return _element({((), m << _W): -n if m % _DEG & 1 else n for (_, m), n in f.nums.items()}, f.exp)
 
 
 # (flavor, window) -> the single polynomial; in process only, never on disk
@@ -412,9 +399,9 @@ def schubert_poly(
     return val if double else val.set_y_zero()
 
 
-def schubert_b(w: SignedPermutation, double: bool = True) -> GammaElement:
-    """The type B polynomial 2^{-s(w)} times the type C one."""
-    cs = schubert_poly(w.with_flavor("BC"), "BC", double)
+def schubert_b(w: SignedPermutation, double: bool = True, method: str = "transition") -> GammaElement:
+    """The type B polynomial 2^{-s(w)} times the type C one, by the route."""
+    cs = schubert_poly(w.with_flavor("BC"), "BC", double, method)
     return cs * Dyadic(1, w.neg_count())
 
 
@@ -481,7 +468,7 @@ def schubert_expand_single(f: GammaElement, flavor: str = "BC") -> dict:
     # d_i f = 0 for i > max_xvar, so only W^(max_xvar) can carry coefficients
     for u in quotient_elements(flavor, f.max_xvar(), d):
         by_len.setdefault(u.length(), []).append(u)
-    c0 = f.terms.get(((), (), ()))
+    c0 = f.coeff()
     if c0:
         coeffs[()] = c0
     for ell in range(1, d + 1):
@@ -494,7 +481,7 @@ def schubert_expand_single(f: GammaElement, flavor: str = "BC") -> dict:
             df = divided_difference(i, prev, flavor=flavor)
             if df:
                 new[u] = df
-                ct = df.terms.get(((), (), ()))
+                ct = df.coeff()
                 if ct:
                     coeffs[u.window] = ct
         level = new
@@ -504,11 +491,8 @@ def schubert_expand_single(f: GammaElement, flavor: str = "BC") -> dict:
             raise ArithmeticError(f"non-integral coefficient {c} at {win}")
         out[win] = c.num
     # exactness: the expansion must re-sum to f
-    total: dict = {}
-    for win, c in out.items():
-        piece = schubert_poly(SignedPermutation(win, flavor), flavor, False)
-        _add_into(total, piece.terms, c)
-    if total != f.terms:
+    total = _gsum((schubert_poly(SignedPermutation(win, flavor), flavor, False), c) for win, c in out.items())
+    if total != f:
         raise ArithmeticError("re-summation failed")
     return out
 
@@ -552,10 +536,7 @@ def scalar_product(
 def alternating_operator(f: GammaElement, n: int, flavor: str = "BC") -> GammaElement:
     """Signed sum of the full Weyl group orbit of f."""
     kind = "W" if flavor == "BC" else "Wtilde"
-    total: dict = {}
-    for w in enumerate_group(kind, n):
-        _add_into(total, weyl_act(w, f).terms, -1 if w.length() % 2 else 1)
-    return GammaElement(total)
+    return _gsum((weyl_act(w, f), -1 if w.length() % 2 else 1) for w in enumerate_group(kind, n))
 
 
 def staircase_monomial(n: int, flavor: str) -> GammaElement:

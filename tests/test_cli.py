@@ -249,6 +249,23 @@ def test_disk_cache_non_document_entry_is_a_miss(damage, tmp_path, monkeypatch, 
     _check_damaged_entry_is_a_miss(damage, tmp_path, monkeypatch, capsys)
 
 
+def test_type_b_divdiff_runs_the_divided_difference_route(monkeypatch, capsys):
+    from schubring import schubert as sch
+
+    def forbidden(*args, **kwargs):
+        raise ArithmeticError("the divided-difference route ran")
+
+    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
+    monkeypatch.setattr(sch, "_SINGLE", {})
+    monkeypatch.setattr(sch, "schubert_divdiff", forbidden)
+    monkeypatch.setattr(sch, "_single", forbidden)
+    args = ("compute", "--lie-type", "B", "--w", "[2,-1]", "--double")
+    code, out, err = run_cli(*args, "--method", "divdiff", capsys=capsys)
+    assert (code, out) == (4, ""), err
+    code, out, err = run_cli(*args, capsys=capsys)
+    assert code == 0 and json.loads(out)["metadata"]["provenance"] == "transition", err
+
+
 def _run_python(*args):
     """Run python with the package under test importable."""
     import schubring
@@ -263,6 +280,42 @@ def _run_python(*args):
 def _run_optimized(*args):
     """Run python -O with the package under test importable."""
     return _run_python("-O", *args)
+
+
+def test_store_checks_survive_optimize():
+    # the packed term store raises ValueError, never asserts, on its paths
+    code = """
+from schubring.gammaring import GammaElement
+from schubring.raising import gamma_to_poly
+big = GammaElement.monomial(xk=(40000,))
+for bad in (lambda: big * big, lambda: GammaElement.monomial(xk=(-1,)),
+            lambda: GammaElement.monomial(yk=(2, -3)), lambda: gamma_to_poly(GammaElement.generator(1))):
+    try:
+        bad()
+    except ValueError:
+        continue
+    raise SystemExit("no ValueError")
+print("ok")
+"""
+    proc = _run_optimized("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("compute", "--lie-type", "C", "--w", "[2,-1]", "--double"), ("verify", "--suite", "hilbert")],
+    ids=["compute", "verify-hilbert"],
+)
+def test_benchmark_tracer_finds_every_target(args, tmp_path):
+    # a renamed or removed target would make its per-layer metrics absent;
+    # the tracer runs in a subprocess so that it wraps nothing in this one
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    out = tmp_path / "trace.json"
+    proc = _run_python("-B", os.path.join(bench, "traced_cli.py"), str(out), "0", "--", *args)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert (report["absent"], report["hook_errors"]) == ([], {})
+    assert report["agg"] and report["strictify"] is not None
 
 
 def test_type_a_method_both_is_rejected(capsys):

@@ -376,3 +376,45 @@ def test_btilde_definition():
     y1 = GammaElement.monomial(yk=(1,))
     y2 = GammaElement.monomial(yk=(0, 1))
     assert b2 == b(2) - b(1) * (y1 + y2)
+
+
+def test_store_canonical_form():
+    # numerators over one power of two: no zero numerator, and the exponent
+    # is 0 or some numerator is odd, so equal elements have equal storage
+    rng = random.Random("canonical")
+    for family in ("c", "b"):
+        for _ in range(100):
+            f = rand_element(family, rng, 4, 4, 2, nx=3, ny=2)
+            assert all(f.nums.values()) and (f.exp == 0 or any(n % 2 for n in f.nums.values()))
+            h = (f * 2) * Dyadic(1, 1)
+            assert (h.nums, h.exp) == (f.nums, f.exp)
+            assert (f * Dyadic(1, 1)) * 2 == f and f * Dyadic(0) == GammaElement.zero()
+    x1, x2 = GammaElement.monomial(xk=(1,)), GammaElement.monomial(xk=(0, 1))
+    half = Dyadic(1, 1)
+    # a sum whose numerators all turn even lowers the exponent
+    s = (x1 + x2) * half + (x1 - x2) * half
+    assert (s.nums, s.exp) == (x1.nums, 0)
+    s = (x1 + x2 * 3) * Dyadic(1, 2) + (x1 * 3 + x2) * Dyadic(1, 2)
+    assert (s.nums, s.exp) == ((x1 + x2).nums, 0)
+    assert ((x1 * half) - (x1 * half)).exp == 0
+
+
+def test_b_products_stay_exact():
+    # b_1^2 = c_1^2 / 4 = 2 c_2 / 4 = b_2: the product's numerators turn even
+    assert b(1) * b(1) == b(2) and (b(1) * b(1)).exp == 1
+    rng = random.Random("b-products")
+    for _ in range(50):
+        f = rand_element("b", rng, 3, 4, 2, nx=2, ny=1)
+        h = rand_element("b", rng, 3, 4, 2, nx=2, ny=1)
+        p = f * h
+        assert p.exp == 0 or any(n % 2 for n in p.nums.values())
+        assert oracle_embed(p) == oracle_mul(oracle_embed(f), oracle_embed(h))
+
+
+def test_product_degree_overflow_is_a_value_error():
+    big = GammaElement.monomial(xk=(40000,))
+    with pytest.raises(ValueError):
+        big * big
+    with pytest.raises(ValueError):
+        GammaElement.monomial(xk=(-1,))
+    assert (big * GammaElement.monomial(yk=(1,))).degree() == 40001

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from schubring import invariants
-from schubring.polyring import elem_sym
+from schubring.polyring import Dyadic, elem_sym
 from schubring.gammaring import (
     GammaElement,
     act_generator,
@@ -35,7 +36,7 @@ from schubring.invariants import (
 )
 from schubring.schubert import divided_difference, schubert_restricted
 from schubring.raising import theta
-from schubring.weyl import SignedPermutation
+from schubring.weyl import SignedPermutation, quotient_elements
 
 
 def test_exact_rank():
@@ -258,3 +259,64 @@ def test_partial_stability_of_double_generators():
         gens = generator_set("B-hat", n, d)
         vecs = ideal_piece_vectors(gens, n, d, True, basis)
         assert in_span(vecs, to_vector(v.restrict_vars(n), basis)), n
+
+
+def _dense_primitive(vec):
+    """Reference: the primitive integer multiple of a Fraction row, {column: int}."""
+    den = lcm(*(v.denominator for v in vec if v))
+    ints = {j: int(v * den) for j, v in enumerate(vec) if v}
+    g = gcd(*ints.values())
+    return {j: v // g for j, v in ints.items()}
+
+
+def test_integer_rows_bring_elements_to_one_power_of_two():
+    # elements laid side by side in one row: each numerator is shifted to
+    # the row's common power of two before the content is divided out
+    basis = monomial_basis(2, 2, with_y=True)
+    rng = random.Random("rows")
+    for _ in range(200):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            keys = rng.sample(basis, rng.randint(0, 4))
+            parts.append(GammaElement({k: Dyadic(rng.choice([-3, -1, 1, 2, 6]), rng.randint(0, 3)) for k in keys}))
+        dense = [c for f in parts for c in to_vector(f, basis)]
+        assert invariants._row(parts, basis) == _dense_primitive(dense)
+
+
+def _dense_invariant_ranks(n, d, flavor):
+    """invariant_basis_rank from dense Fraction rows and the reference rank."""
+    basis = monomial_basis(n, d, with_y=False)
+    mat = []
+    for key in basis:
+        m = GammaElement({key: Dyadic(1)})
+        mat.append([c for i in invariants.gen_indices(n, flavor) for c in to_vector(act_generator(i, m, flavor) - m, basis)])
+    thetas = [to_vector(t, basis) for t in invariants._theta_family(n, d, flavor)]
+    return len(basis) - _dense_rank(mat), _dense_rank(thetas)
+
+
+def _dense_kernel_report(n, d, flavor):
+    """kernel_span_equality from dense Fraction rows and the reference rank."""
+    basis = monomial_basis(n, d, with_y=True)
+    gens = generator_set("gamma-hat" if flavor == "BC" else "B-hat", n, d)
+    ideal = [
+        to_vector(GammaElement({key: Dyadic(1)}) * g, basis)
+        for gdeg, g in gens.elements
+        if gdeg <= d
+        for key in monomial_basis(n, d - gdeg, True)
+    ]
+    schub = [
+        to_vector(GammaElement({key: Dyadic(1)}) * schubert_restricted(w, n, flavor), basis)
+        for w in quotient_elements(flavor, n, d)
+        if w.support > n
+        for key in monomial_basis(n, d - w.length(), True)
+        if not key[0] and not key[1]
+    ]
+    ri, rs = _dense_rank(ideal), _dense_rank(schub)
+    return {"degree": d, "ideal_dim": ri, "schubert_dim": rs, "equal": ri == rs == _dense_rank(ideal + schub)}
+
+
+@pytest.mark.parametrize("flavor", ["BC", "D"])
+def test_integer_rows_match_dense_reference(flavor):
+    for d in range(0, 5):
+        assert invariant_basis_rank(2, d, flavor) == _dense_invariant_ranks(2, d, flavor), d
+        assert kernel_span_equality(2, d, flavor) == _dense_kernel_report(2, d, flavor), d
