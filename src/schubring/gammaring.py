@@ -485,12 +485,14 @@ def c_entry(k: int, kprime: int, p: int) -> GammaElement:
 
     The h factors are in x alone and in y alone, so every product of their
     terms is a distinct monomial."""
+    hx = [complete_sym(-k, i, "x").terms.items() for i in range(p + 1)]
+    hy = [complete_sym(kprime, j, "-y").terms.items() for j in range(p + 1)]
     return GammaElement.from_raw(
         ((p - i - j,), xk, yk, cx * cy)
-        for i in range(0, p + 1)
-        for (xk, _), cx in complete_sym(-k, i, "x").terms.items()
-        for j in range(0, p - i + 1)
-        for (_, yk), cy in complete_sym(kprime, j, "-y").terms.items()
+        for i in range(p + 1)
+        for (xk, _), cx in hx[i]
+        for j in range(p - i + 1)
+        for (_, yk), cy in hy[j]
     )
 
 
