@@ -475,6 +475,51 @@ def weyl_act(w, f: GammaElement) -> GammaElement:
 
 
 # ---------------------------------------------------------------------------
+# exact division by the (negated) simple roots, for the divided differences
+# ---------------------------------------------------------------------------
+
+
+def _divide_by_x1(g: GammaElement, factor: int) -> GammaElement:
+    """Exact division by factor * x_1, factor = +-2 (the sign-change operator)."""
+    sign = 1 if factor == 2 else -1
+    out = {}
+    for (subs, m), n in g.nums.items():
+        if not m & _SLOT:
+            raise ArithmeticError("numerator not divisible by x_1")
+        out[(subs, m - 1)] = n * sign
+    return _element(out, g.exp + 1)
+
+
+def _divide_uv(g: GammaElement, i: int, plus: bool) -> GammaElement:
+    """Exact division by (x_i - x_{i+1}) or, with plus=True, by (x_i + x_{i+1}).
+
+    Synthetic division in x_i, from the top power down: a term n x_i^a r
+    puts n x_i^{a-1} r in the quotient and carries -+n x_i^{a-1} x_{i+1} r
+    one power down.  A nonzero remainder raises ArithmeticError.
+    """
+    at = _W2 * (i - 1)
+    unit = 1 << at  # x_i, packed
+    carry = (unit << _W2) - unit  # times x_{i+1} / x_i
+    carry_sign = -1 if plus else 1
+    buckets: dict[int, dict] = {}
+    for k, n in g.nums.items():
+        buckets.setdefault((k[1] >> at) & _SLOT, {})[k] = n
+    out: dict = {}
+    for a in range(max(buckets, default=0), 0, -1):
+        below = buckets.setdefault(a - 1, {})
+        for (subs, m), n in buckets.pop(a, {}).items():
+            if not n:
+                continue
+            # quotient keys have distinct x_i-degrees across buckets: none meet
+            out[(subs, m - unit)] = n
+            k = (subs, m + carry)
+            below[k] = below.get(k, 0) + n * carry_sign
+    if any(buckets.get(0, {}).values()):
+        raise ArithmeticError("division left a nonzero remainder")
+    return _element(out, g.exp)
+
+
+# ---------------------------------------------------------------------------
 # the indexed entries  {}^k c^{k'}_p  and their hatted variants
 # ---------------------------------------------------------------------------
 

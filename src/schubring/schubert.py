@@ -17,11 +17,9 @@ from functools import lru_cache
 
 from .polyring import Dyadic
 from .gammaring import (
-    _DEG,
-    _SLOT,
-    _W,
     GammaElement,
-    _element,
+    _divide_by_x1,
+    _divide_uv,
     _gsum,
     act_generator,
     weyl_act,
@@ -42,46 +40,6 @@ from .raising import PfaffianSpec, multi_schur_pfaffian
 # ---------------------------------------------------------------------------
 # divided difference operators
 # ---------------------------------------------------------------------------
-
-
-def _divide_by_x1(g: GammaElement, factor: int) -> GammaElement:
-    """Exact division by factor * x_1, factor = +-2 (the sign-change operator)."""
-    sign = 1 if factor == 2 else -1
-    out = {}
-    for (subs, m), n in g.nums.items():
-        if not m & _SLOT:
-            raise ArithmeticError("numerator not divisible by x_1")
-        out[(subs, m - 1)] = n * sign
-    return _element(out, g.exp + 1)
-
-
-def _divide_uv(g: GammaElement, i: int, plus: bool) -> GammaElement:
-    """Exact division by (x_i - x_{i+1}) or, with plus=True, by (x_i + x_{i+1}).
-
-    Synthetic division in x_i, from the top power down: a term n x_i^a r
-    puts n x_i^{a-1} r in the quotient and carries -+n x_i^{a-1} x_{i+1} r
-    one power down.  A nonzero remainder raises ArithmeticError.
-    """
-    at = 2 * _W * (i - 1)
-    unit = 1 << at  # x_i, packed
-    carry = (unit << 2 * _W) - unit  # times x_{i+1} / x_i
-    carry_sign = -1 if plus else 1
-    buckets: dict[int, dict] = {}
-    for k, n in g.nums.items():
-        buckets.setdefault((k[1] >> at) & _SLOT, {})[k] = n
-    out: dict = {}
-    for a in range(max(buckets, default=0), 0, -1):
-        below = buckets.setdefault(a - 1, {})
-        for (subs, m), n in buckets.pop(a, {}).items():
-            if not n:
-                continue
-            # quotient keys have distinct x_i-degrees across buckets: none meet
-            out[(subs, m - unit)] = n
-            k = (subs, m + carry)
-            below[k] = below.get(k, 0) + n * carry_sign
-    if any(buckets.get(0, {}).values()):
-        raise ArithmeticError("division left a nonzero remainder")
-    return _element(out, g.exp)
 
 
 def divided_difference(
@@ -328,9 +286,9 @@ def schubert_divdiff(w: SignedPermutation, flavor: str | None = None) -> GammaEl
 
 @lru_cache(maxsize=None)
 def _type_a_at_minus_y(window: tuple) -> GammaElement:
-    """The single type A polynomial of the window, evaluated at x = -y."""
-    f = schubert_poly(SignedPermutation(window, "A"), "A", double=False)
-    return _element({((), m << _W): -n if m % _DEG & 1 else n for (_, m), n in f.nums.items()}, f.exp)
+    """The single type A polynomial of the window, evaluated at x = -y (omega
+    of a y-free element)."""
+    return schubert_poly(SignedPermutation(window, "A"), "A", double=False).omega()
 
 
 # (flavor, window) -> the single polynomial; in process only, never on disk
