@@ -388,6 +388,9 @@ def test_store_canonical_form():
             assert all(f.nums.values()) and (f.exp == 0 or any(n % 2 for n in f.nums.values()))
             h = (f * 2) * Dyadic(1, 1)
             assert (h.nums, h.exp) == (f.nums, f.exp)
+            # the read-only terms view: trimmed keys, Dyadic values, O(1) len
+            assert len(f.terms) == len(f.nums) and GammaElement(dict(f.terms.items())) == f
+            assert all(k[1][-1:] != (0,) and k[2][-1:] != (0,) and c == f.terms[k] for k, c in f.terms.items())
             assert (f * Dyadic(1, 1)) * 2 == f and f * Dyadic(0) == GammaElement.zero()
     x1, x2 = GammaElement.monomial(xk=(1,)), GammaElement.monomial(xk=(0, 1))
     half = Dyadic(1, 1)
