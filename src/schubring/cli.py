@@ -114,7 +114,7 @@ def cmd_compute(args) -> int:
         rho, beta, alpha = (_parse_partition(t) for t in args.pfaffian)
         if not (len(rho) == len(beta) == len(alpha)):
             raise PreconditionError("rho, beta, alpha must have equal lengths")
-        spec = raising.PfaffianSpec(rho, beta, alpha, args.hatted, args.hatted)
+        spec = raising.PfaffianSpec(rho, beta, alpha, args.hatted)
         if args.hatted:
             family = "b"
         try:

@@ -347,9 +347,7 @@ def supersym_congruence(n: int, p: int | None = None, lam=None) -> dict:
         d = p
     else:
         lam = tuple(lam)
-        v = raising.schur_q(lam) - GammaElement.from_poly(
-            raising.qtilde_super(lam, n)
-        ) * ((-1) ** (sum(lam) % 2))
+        v = raising.schur_q(lam) - raising.qtilde_super(lam, n) * ((-1) ** (sum(lam) % 2))
         d = sum(lam)
     v = v.restrict_vars(n)
     basis = monomial_basis(n, d, with_y=True)
@@ -433,25 +431,18 @@ def dual_basis_orthogonality(n: int, flavor: str = "BC") -> dict:
     perms = enumerate_group("S", n)
     delta = tuple(range(top, 0, -1))
     p0 = SignedPermutation(tuple(range(n, 0, -1)), "A")
+    tilde = raising.qtilde if flavor == "BC" else raising.ptilde
     failures = []
     for lam in lams:
         for u in perms:
-            if flavor == "BC":
-                qa = GammaElement.from_poly(raising.qtilde(lam, n, signed=True))
-            else:
-                qa = GammaElement.from_poly(raising.ptilde(lam, n, signed=True))
-            f = qa * sch.schubert_poly(u.with_flavor("A"), "A", double=False)
+            f = tilde(lam, n, signed=True) * sch.schubert_poly(u.with_flavor("A"), "A", double=False)
             for mu in lams:
                 comp = tuple(sorted((set(delta) - set(mu)), reverse=True))
                 if len(mu) + len(comp) != top or set(mu) | set(comp) != set(delta):
                     continue
                 for up in perms:
-                    if flavor == "BC":
-                        qb = GammaElement.from_poly(raising.qtilde(comp, n, signed=True))
-                    else:
-                        qb = GammaElement.from_poly(raising.ptilde(comp, n, signed=True))
                     a2 = sch.schubert_poly((up * p0).with_flavor("A"), "A", double=False)
-                    g = qb * a2.negate_x().permute_x(p0)
+                    g = tilde(comp, n, signed=True) * a2.negate_x().permute_x(p0)
                     val = sch.scalar_product(f, g, n, flavor, "full")
                     expected = (
                         GammaElement.const(1) if (u == up and lam == mu) else GammaElement.zero()

@@ -3,9 +3,9 @@ entry families, multi-Schur Pfaffians, theta/eta polynomial constructors,
 Qtilde/Ptilde polynomials, and straightening.
 
 A raising operator R_ij adds 1 to slot i and subtracts 1 from slot j of an
-index vector.  Operator products here are of the form
+index vector.  Every operator here has the form
 
-    prod over pairs (i,j) of either (1 - R_ij) or (1 - R_ij)/(1 + R_ij),
+    prod over i<j of (1 - R_ij)  times  prod over (i,j) in C of (1 + R_ij)^{-1},
 
 applied to a vector alpha; the expansion is finite because every entry family
 vanishes once its subscript drops below zero.  With ``star=True`` the
@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record
-from .polyring import Dyadic, SparsePoly, elem_sym, supersym_e
+from .polyring import Dyadic, elem_sym, supersym_e
 from .gammaring import (
     GammaElement,
     _gsum,
@@ -30,26 +30,22 @@ from .gammaring import (
 
 
 class RaisingExpression(Record):
-    """A product of factors (1 - R_ij) and (1 + R_ij)^{-1} on vectors of
-    length ``arity``."""
+    """The product of (1 - R_ij) over all pairs i < j of slots 1..arity, and
+    of (1 + R_ij)^{-1} over the ``inverted`` pairs."""
 
-    __slots__ = ("arity", "numerator", "denominator")
+    __slots__ = ("arity", "inverted")
 
-    def __init__(self, arity: int, numerator: tuple, denominator: tuple):
-        self.arity, self.numerator, self.denominator = arity, numerator, denominator
-        for i, j in numerator + denominator:
-            assert 1 <= i < j <= arity, f"bad pair ({i},{j})"
+    def __init__(self, arity: int, inverted: tuple):
+        self.arity, self.inverted = arity, inverted
+        for i, j in inverted:
+            if not 1 <= i < j <= arity:
+                raise ValueError(f"bad pair ({i},{j})")
 
 
 def rr_expression(ell: int) -> RaisingExpression:
     """The full product prod_{i<j} (1 - R_ij)/(1 + R_ij)."""
     pairs = tuple((i, j) for i in range(1, ell) for j in range(i + 1, ell + 1))
-    return RaisingExpression(ell, pairs, pairs)
-
-def jt_expression(ell: int, inverted_pairs) -> RaisingExpression:
-    """prod_{i<j} (1 - R_ij) times (1 + R_ij)^{-1} over the given pairs."""
-    pairs = tuple((i, j) for i in range(1, ell) for j in range(i + 1, ell + 1))
-    return RaisingExpression(ell, pairs, tuple(sorted(inverted_pairs)))
+    return RaisingExpression(ell, pairs)
 
 
 def expand(
@@ -69,37 +65,25 @@ def expand(
     ell = expr.arity
     alpha = tuple(alpha)
     assert len(alpha) == ell
-    denom = set(expr.denominator)
-    numer = set(expr.numerator)
-    # per-pair combined series in R_ij: (1-R)/(1+R) = 1 - 2R + 2R^2 - ...
-    pairs = sorted(numer | denom, key=lambda ij: (-ij[1], ij[0]))
+    denom = set(expr.inverted)
+    pairs = [(i, j) for j in range(ell, 1, -1) for i in range(1, j)]
     states: dict = {(alpha, frozenset()): 1}
     for i, j in pairs:
-        in_num = (i, j) in numer
-        in_den = (i, j) in denom
+        # (1 - R)/(1 + R) = 1 - 2R + 2R^2 - ..., and (1 - R) alone stops at R
+        inverted = (i, j) in denom
         new: dict = {}
         for (vec, supp), coeff in states.items():
-            k = 0
-            while True:
-                aj = vec[j - 1] - k
-                if k > 0 and aj < 0:
-                    break
-                if in_num and in_den:
-                    c = 1 if k == 0 else 2 * (-1) ** k
-                elif in_num:
-                    if k > 1:
-                        break
-                    c = 1 if k == 0 else -1
-                else:
-                    c = (-1) ** k
+            # a lowered slot never goes below zero
+            top = max(vec[j - 1], 0)
+            for k in range(top + 1 if inverted else min(top, 1) + 1):
+                c = 1 if k == 0 else (2 * (-1) ** k if inverted else -1)
                 nv = list(vec)
                 nv[i - 1] += k
                 nv[j - 1] -= k
                 # only inverted factors mark their slots for the star product
-                marks = star and k > 0 and in_den
+                marks = star and k > 0 and inverted
                 key = (tuple(nv), supp | {i, j} if marks else supp)
                 new[key] = new.get(key, 0) + coeff * c
-                k += 1
         states = {k: v for k, v in new.items() if v}
     # Fold the surviving states from the last row up.  A state is keyed by
     # its per-row (subscript, keep_hat) pairs; the states sharing rows
@@ -167,17 +151,14 @@ class PfaffianSpec(Record):
     """Indexing data of a multi-Schur Pfaffian.
 
     rho/beta/alpha must have equal lengths; ``hatted`` switches to the type D
-    starred family (with the 2^{-length} prefactor), which forces star
-    bookkeeping.
+    starred family (with the 2^{-length} prefactor and star bookkeeping).
     """
 
-    __slots__ = ("rho", "beta", "alpha", "hatted", "star")
+    __slots__ = ("rho", "beta", "alpha", "hatted")
 
-    def __init__(self, rho, beta, alpha, hatted: bool = False, star: bool = False):
-        self.rho, self.beta, self.alpha, self.hatted, self.star = rho, beta, alpha, hatted, star
+    def __init__(self, rho, beta, alpha, hatted: bool = False):
+        self.rho, self.beta, self.alpha, self.hatted = rho, beta, alpha, hatted
         assert len(rho) == len(beta) == len(alpha)
-        if star:
-            assert hatted, "star bookkeeping only applies to hatted entries"
 
     @property
     def length(self) -> int:
@@ -228,7 +209,6 @@ def _pfaffian_value_blocks(spec: PfaffianSpec) -> GammaElement:
             (beta[i], beta[j]),
             (alpha[i], alpha[j]),
             spec.hatted,
-            spec.hatted,
         )
         return _pfaffian_value_raising(sub)
 
@@ -259,13 +239,11 @@ def multi_schur_pfaffian(spec: PfaffianSpec, cross_check: bool = True) -> GammaE
     return val
 
 
-def schur_q(alpha, beta=None, rho=None) -> GammaElement:
-    """Q^beta_alpha (superscripts defaulting to zero) by raising expansion."""
+def schur_q(alpha) -> GammaElement:
+    """Q_alpha by raising expansion."""
     alpha = tuple(alpha)
-    ell = len(alpha)
-    beta = tuple(beta) if beta is not None else (0,) * ell
-    rho = tuple(rho) if rho is not None else (0,) * ell
-    return _pfaffian_value_raising(PfaffianSpec(rho, beta, alpha))
+    zeros = (0,) * len(alpha)
+    return _pfaffian_value_raising(PfaffianSpec(zeros, zeros, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +257,9 @@ def _beta_and_pairs(w, ell: int, n: int):
     for i in range(1, ell + 1):
         wi = w(n + i)
         beta.append(wi + 1 if wi < 0 else wi)
-    pairs = set()
-    for i in range(1, ell + 1):
-        for j in range(i + 1, ell + 1):
-            if w(n + i) + w(n + j) < 0:
-                pairs.add((i, j))
+    pairs = tuple(
+        (i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1) if w(n + i) + w(n + j) < 0
+    )
     return tuple(beta), pairs
 
 
@@ -311,7 +287,7 @@ def theta(n: int, lam, double: bool = False) -> GammaElement:
         def entry(row, a, keep_hat):
             return level_c(n, a)
 
-    val = expand(jt_expression(ell, pairs), entry, lam)
+    val = expand(RaisingExpression(ell, pairs), entry, lam)
     if not val.is_integral():
         raise ArithmeticError("theta polynomial is not integral")
     if val.max_xvar() > n:
@@ -365,7 +341,7 @@ def eta(n: int, lam, double: bool = False) -> GammaElement:
         return c_entry(n, s, a)
 
     val = expand(
-        jt_expression(ell, pairs), entry, parts, star=True, prefactor=Dyadic(1, halves)
+        RaisingExpression(ell, pairs), entry, parts, star=True, prefactor=Dyadic(1, halves)
     )
     if not double:
         val = val.set_y_zero()
@@ -387,43 +363,32 @@ def _dressed_correction(n: int) -> GammaElement:
 # ---------------------------------------------------------------------------
 
 
-def qtilde(lam, n: int, signed: bool = False) -> SparsePoly:
+def qtilde(lam, n: int, signed: bool = False) -> GammaElement:
     """Qtilde_lambda(X_n) = (full raising product) e_lambda(X_n); the signed
     variant evaluates at -X_n."""
     lam = tuple(lam)
     assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
     if not lam:
-        return SparsePoly.const(1)
+        return GammaElement.const(1)
     entry = poly_entry_family(lambda a: elem_sym(n, a, "x"))
     val = expand(rr_expression(len(lam)), entry, lam)
-    if signed:
-        val = val.negate_x()
-    return gamma_to_poly(val)
+    return val.negate_x() if signed else val
 
 
-def qtilde_super(lam, n: int) -> SparsePoly:
+def qtilde_super(lam, n: int) -> GammaElement:
     """The supersymmetric variant, built from the entries e-hat_a(X_n/Y_n)."""
     lam = tuple(lam)
     if not lam:
-        return SparsePoly.const(1)
+        return GammaElement.const(1)
     entry = poly_entry_family(lambda a: supersym_e(a, n))
-    val = expand(rr_expression(len(lam)), entry, lam)
-    return gamma_to_poly(val)
+    return expand(rr_expression(len(lam)), entry, lam)
 
 
-def ptilde(lam, n: int, signed: bool = False) -> SparsePoly:
+def ptilde(lam, n: int, signed: bool = False) -> GammaElement:
     """Ptilde_lambda = 2^{-length} Qtilde_lambda (lambda strict)."""
     lam = tuple(lam)
     assert all(lam[i] > lam[i + 1] for i in range(len(lam) - 1))
-    q = qtilde(lam, n, signed)
-    return SparsePoly({k: c.times_pow2(-len(lam)) for k, c in q.terms.items()})
-
-
-def gamma_to_poly(f: GammaElement) -> SparsePoly:
-    """Convert a generator-free ring element to a plain polynomial."""
-    if any(subs for subs, _, _ in f.terms):
-        raise ValueError("element has generator content")
-    return SparsePoly({(xk, yk): c for (_, xk, yk), c in f.terms.items()})
+    return qtilde(lam, n, signed) * Dyadic(1, len(lam))
 
 
 # ---------------------------------------------------------------------------

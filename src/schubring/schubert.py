@@ -93,20 +93,17 @@ def longest_element(n: int, flavor: str) -> SignedPermutation:
     return SignedPermutation(tuple(range(n, 0, -1)), "A")
 
 
-def _delta(k: int, length: int) -> tuple[int, ...]:
-    """(k, k-1, ..., 1, 0, ...) padded or cut to the requested length."""
-    return tuple(max(k - i, 0) for i in range(length))
-
-
 @lru_cache(maxsize=None)
 def _anchor(flavor: str, m: int, double: bool) -> GammaElement:
     """The Schubert polynomial of the longest element of rank m.
 
-    y -> 0 is a ring map, so the single anchor is the Pfaffian of the
-    entries at y = 0.  A back index only brings in y, so it drops to 0.  The
-    type D hat correction of a row sits at p = 2k with k >= 1 and carries
-    e_k(-Y), so it drops too: the y-free entries are plain, and the 2^{-(m-1)}
-    prefactor of the hatted Pfaffian is all that is left of the hats.
+    In types BC and D this is the Pfaffian of w0's spec (the case n = m of
+    the Pfaffian formula).  y -> 0 is a ring map, so the single anchor is the
+    Pfaffian of the entries at y = 0.  A back index only brings in y, so it
+    drops to 0.  The type D hat correction of a row sits at p = 2k with
+    k >= 1 and carries e_k(-Y), so it drops too: the y-free entries are
+    plain, and the 2^{-(m-1)} prefactor of the hatted Pfaffian is all that is
+    left of the hats.
     """
     if flavor == "A":
         if double:
@@ -119,17 +116,11 @@ def _anchor(flavor: str, m: int, double: bool) -> GammaElement:
             return out
         mono = tuple(m - i for i in range(1, m + 1))
         return GammaElement.monomial(xk=mono)
-    if flavor == "BC":
-        rho = _delta(m - 1, m)
-        alpha = tuple(2 * m - 1 - 2 * i for i in range(m))
-    else:
-        rho = _delta(m - 1, m - 1)
-        alpha = tuple(2 * (m - 1 - i) for i in range(m - 1))
+    spec = _pfaffian_spec(longest_element(m, flavor))
     if double:
-        hatted = flavor == "D"
-        spec = PfaffianSpec(rho, tuple(-v for v in rho), alpha, hatted=hatted, star=hatted)
         return multi_schur_pfaffian(spec, cross_check=(m <= 3))
-    val = multi_schur_pfaffian(PfaffianSpec(rho, (0,) * len(rho), alpha), cross_check=(m <= 3))
+    plain = PfaffianSpec(spec.rho, (0,) * spec.length, spec.alpha)
+    val = multi_schur_pfaffian(plain, cross_check=(m <= 3))
     return val if flavor == "BC" else val * Dyadic(1, m - 1)
 
 
@@ -233,18 +224,11 @@ def schubert_transition(w: SignedPermutation, flavor: str | None = None) -> Gamm
 
 def _transition_value(flavor: str, window: tuple) -> GammaElement:
     w = SignedPermutation(window, flavor)
+    if not w.window:  # CS_id = 1
+        return GammaElement.const(1)
     if is_increasing(w):
-        sh = shape(w)
-        mu = sh.mu
-        if flavor == "BC":
-            spec = PfaffianSpec((0,) * len(mu), tuple(1 - p for p in mu), mu)
-        else:
-            spec = PfaffianSpec(
-                (0,) * len(mu), tuple(-p for p in mu), mu, hatted=True, star=True
-            )
-        if not mu:
-            return GammaElement.const(1)
-        return multi_schur_pfaffian(spec, cross_check=False)
+        # the leaves are the members n = 0 of the Pfaffian formula
+        return multi_schur_pfaffian(_pfaffian_spec(w), cross_check=False)
     t = transition_data(w)
     lin = GammaElement.from_raw(
         [
@@ -375,32 +359,32 @@ def schubert_restricted(
 # ---------------------------------------------------------------------------
 
 
+def _pfaffian_spec(u: SignedPermutation) -> PfaffianSpec:
+    """The Pfaffian indexing of u = w * w0^(n), w n-Grassmannian, read off the
+    shape of u: rho = nu, alpha = lambda, and back indices min(1 - mu_i, 0) in
+    type C and -mu_i (hatted entries) in type D, all padded to length l(lambda).
+    """
+    sh = shape(u)
+    ell = len(sh.lam)
+    nu = sh.nu + (0,) * (ell - len(sh.nu))
+    mu = sh.mu + (0,) * (ell - len(sh.mu))
+    if u.flavor == "BC":
+        return PfaffianSpec(nu, tuple(min(1 - m, 0) for m in mu), sh.lam)
+    return PfaffianSpec(nu, tuple(-m for m in mu), sh.lam, hatted=True)
+
+
 def pfaffian_formula(
     w: SignedPermutation, n: int, flavor: str | None = None, check: bool = True
 ) -> GammaElement:
-    """The multi-Schur Pfaffian equal to the Schubert polynomial of w * w0^(n).
-
-    w must be n-Grassmannian; the indexing vectors are the shape statistics of
-    the product element, with back indices min(1 - mu_i, 0) in type C and
-    -mu_i in type D.
-    """
+    """The multi-Schur Pfaffian equal to the Schubert polynomial of w * w0^(n);
+    w must be n-Grassmannian."""
     flavor = flavor or w.flavor
     w = w.with_flavor(flavor)
     if not is_grassmannian(w, n):
         raise ValueError(f"{w.window} is not {n}-Grassmannian")
     w0 = longest_element(n, flavor) if n else SignedPermutation.identity(flavor)
     what = w * w0
-    sh = shape(what)
-    ell = len(sh.lam)
-    nu = tuple(sh.nu[i] if i < len(sh.nu) else 0 for i in range(ell))
-    mu = tuple(sh.mu[i] if i < len(sh.mu) else 0 for i in range(ell))
-    if flavor == "BC":
-        beta = tuple(min(1 - m, 0) for m in mu)
-        spec = PfaffianSpec(nu, beta, sh.lam)
-    else:
-        beta = tuple(-m for m in mu)
-        spec = PfaffianSpec(nu, beta, sh.lam, hatted=True, star=True)
-    val = multi_schur_pfaffian(spec, cross_check=False)
+    val = multi_schur_pfaffian(_pfaffian_spec(what), cross_check=False)
     if check and val != schubert_poly(what, flavor):
         raise ArithmeticError(f"pfaffian formula fails at {what.window}")
     return val

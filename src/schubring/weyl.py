@@ -184,26 +184,6 @@ class SignedPermutation(Record):
             raise ValueError(f"unknown reflection kind {kind!r}")
         return SignedPermutation(tuple(w), self.flavor)
 
-    def tbar_covers(self, i: int, j: int) -> bool:
-        """The closed-form test for l(w tbar_ij) = l(w) + 1 (i <= j).
-
-        For flavor BC the criterion has three clauses; flavor D drops the
-        sign clause.  Cross-checked against the length function in tests.
-        """
-        assert 1 <= i <= j
-        wi, wj = self(i), self(j)
-        if not (-wi < wj):
-            return False
-        if self.flavor == "BC" and i < j and not (wi < 0 or wj < 0):
-            return False
-        for p in range(1, i):
-            if -wj < self(p) < wi:
-                return False
-        for p in range(1, j):
-            if p != i and -wi < self(p) < wj:
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # shapes and codes
@@ -236,15 +216,14 @@ def a_code(w: SignedPermutation) -> tuple[int, ...]:
     )
 
 
-def shape(w: SignedPermutation, flavor: str | None = None) -> ShapeData:
+def shape(w: SignedPermutation) -> ShapeData:
     """The strict partition mu, A-code gamma, and partitions delta, nu, lambda.
 
     For flavor BC, mu lists the absolute values of the barred entries; for
     flavor D it lists those absolute values minus one.
     """
-    flavor = flavor or w.flavor
-    assert flavor in ("BC", "D")
-    if flavor == "BC":
+    assert w.flavor in ("BC", "D")
+    if w.flavor == "BC":
         mu = tuple(sorted((-a for a in w.window if a < 0), reverse=True))
     else:
         mu = tuple(
@@ -295,13 +274,12 @@ def strict_partition_element(lam: tuple[int, ...], flavor: str) -> SignedPermuta
 # ---------------------------------------------------------------------------
 
 
-def is_grassmannian(w: SignedPermutation, n: int, flavor: str | None = None) -> bool:
+def is_grassmannian(w: SignedPermutation, n: int) -> bool:
     """Whether l(w s_i) > l(w) for every generator index i != n.
 
     For n = 0 this reduces to the window being increasing (the index-0
     generator carries the only allowed descent in both flavors).
     """
-    flavor = flavor or w.flavor
     if n == 0:
         return is_increasing(w)
     bound = max(w.support, n)
@@ -480,14 +458,13 @@ class TransitionData(Record):
         self.y_sign, self.y_index = y_sign, y_index
 
 
-def transition_data(w: SignedPermutation, flavor: str | None = None) -> TransitionData:
+def transition_data(w: SignedPermutation) -> TransitionData:
     """Last-descent transition step: r, s, v = w t_rs and the two branch lists.
 
     Raises ValueError on increasing w (the terminal case of the recursion).
     """
-    flavor = flavor or w.flavor
+    flavor = w.flavor
     assert flavor in ("BC", "D")
-    w = w.with_flavor(flavor)
     win = w.window
     descents = [i for i in range(1, len(win)) if win[i - 1] > win[i]]
     if not descents:

@@ -285,7 +285,7 @@ def test_c_entry_examples():
 
 def test_generating_identity_double_generators():
     # sum {}^n c^n_p t^p = (sum c_p t^p) prod (1+x_j t)/(1+y_j t), to degree 6
-    from schubring.polyring import TruncatedSeries
+    from truncated_series import TruncatedSeries
 
     for n in (1, 2):
         order = 6

@@ -3,11 +3,12 @@ import random
 from schubring.polyring import (
     Dyadic,
     SparsePoly,
-    TruncatedSeries,
     complete_sym,
     elem_sym,
     supersym_e,
 )
+
+from truncated_series import TruncatedSeries
 
 
 def test_dyadic_canonical_form():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from schubring.polyring import Dyadic, SparsePoly, complete_sym, elem_sym
+from schubring.polyring import Dyadic, complete_sym, elem_sym
 from schubring.gammaring import GammaElement, c_entry, level_c
 from schubring.raising import (
     PfaffianSpec,
@@ -14,7 +14,6 @@ from schubring.raising import (
     eta,
     expand,
     hh_straighten,
-    jt_expression,
     multi_schur_pfaffian,
     poly_entry_family,
     ptilde,
@@ -43,7 +42,7 @@ def strict_partitions_up_to(maxw):
 
 def test_single_entry_expression():
     entry = lambda row, a, keep: c_entry(1, -1, a)
-    expr = RaisingExpression(1, (), ())
+    expr = RaisingExpression(1, ())
     assert expand(expr, entry, (3,)) == c_entry(1, -1, 3)
 
 
@@ -95,10 +94,10 @@ def test_block_pfaffian_cross_check_grid():
 def test_block_pfaffian_hatted_grid():
     for alpha in [(2, 1), (3, 2), (3, 2, 1), (4, 2, 1), (4, 3, 2, 1)]:
         spec = PfaffianSpec(
-            (0,) * len(alpha), tuple(-a for a in alpha), alpha, hatted=True, star=True
+            (0,) * len(alpha), tuple(-a for a in alpha), alpha, hatted=True
         )
         multi_schur_pfaffian(spec)
-    multi_schur_pfaffian(PfaffianSpec((2, 1), (-2, -1), (4, 2), hatted=True, star=True))
+    multi_schur_pfaffian(PfaffianSpec((2, 1), (-2, -1), (4, 2), hatted=True))
 
 
 def test_pfaffian_recursion_hatted():
@@ -108,7 +107,7 @@ def test_pfaffian_recursion_hatted():
         if not mu:
             return GammaElement.const(1)
         spec = PfaffianSpec(
-            (0,) * len(mu), tuple(-a for a in mu), mu, hatted=True, star=True
+            (0,) * len(mu), tuple(-a for a in mu), mu, hatted=True
         )
         return multi_schur_pfaffian(spec, cross_check=False).restrict_vars(2)
 
@@ -162,25 +161,25 @@ def test_eta_trivial_and_single_rows():
 
 def test_qtilde_examples():
     n = 2
-    assert qtilde((1,), n) == elem_sym(n, 1, "x")
-    e1, e2 = elem_sym(n, 1, "x"), elem_sym(n, 2, "x")
+    e1, e2 = (GammaElement.from_poly(elem_sym(n, k, "x")) for k in (1, 2))
+    assert qtilde((1,), n) == e1
     assert qtilde((1, 1), n) == e1 * e1 - e2 * 2
-    assert qtilde((), n) == SparsePoly.const(1)
+    assert qtilde((), n) == GammaElement.const(1)
 
 
 def test_ptilde_scaling():
     for lam in [(1,), (2, 1), (3, 1)]:
         q = qtilde(lam, 2)
         p = ptilde(lam, 2)
-        assert SparsePoly({k: c.times_pow2(len(lam)) for k, c in p.terms.items()}) == q
+        assert p * 2 ** len(lam) == q
 
 
 def test_qtilde_signed():
     lam = (2, 1)
     q = qtilde(lam, 2)
     qs = qtilde(lam, 2, signed=True)
-    assert qs == SparsePoly(
-        {k: (c if sum(k[0]) % 2 == 0 else -c) for k, c in q.terms.items()}
+    assert qs == GammaElement(
+        {k: (c if sum(k[1]) % 2 == 0 else -c) for k, c in q.terms.items()}
     )
 
 
@@ -243,7 +242,7 @@ def test_hatted_vanishing_random_instances():
         j = rng.randint(0, ell - 2)
         rho[j + 1], alpha[j + 1] = rho[j], alpha[j]
         beta = tuple(rho[i] - alpha[i] for i in range(ell))
-        spec = PfaffianSpec(tuple(rho), beta, tuple(alpha), hatted=True, star=True)
+        spec = PfaffianSpec(tuple(rho), beta, tuple(alpha), hatted=True)
         assert not multi_schur_pfaffian(spec, cross_check=False), spec
 
 
@@ -252,7 +251,7 @@ def test_supersymmetric_qtilde():
     v = qtilde_super((1,), 2)
     from schubring.polyring import supersym_e
 
-    assert v == supersym_e(1, 2)
+    assert v == GammaElement.from_poly(supersym_e(1, 2))
 
 
 def test_schur_jacobi_trudi_vs_alternant():
@@ -279,15 +278,7 @@ def test_schur_jacobi_trudi_vs_alternant():
                 sum(1 for p in lam if p >= k) for k in range(1, (lam[0] if lam else 0) + 1)
             )
             entry = poly_entry_family(lambda a: elem_sym(n, a, "x"))
-            expr = RaisingExpression(
-                max(len(conj), 1),
-                tuple(
-                    (i, j)
-                    for i in range(1, len(conj))
-                    for j in range(i + 1, len(conj) + 1)
-                ),
-                (),
-            )
+            expr = RaisingExpression(max(len(conj), 1), ())
             schur = expand(expr, entry, conj if conj else (0,))
             padded = tuple(
                 (lam[i] if i < len(lam) else 0) + delta[i] for i in range(n)
@@ -340,16 +331,17 @@ def test_pair_sets_match_staircase_inequality():
 def naive_expand(expr, entry_fn, alpha, star=False, prefactor=1):
     """Reference expansion: list every raising monomial, then multiply its
     entries from scratch.  Shares no code with raising.expand."""
-    numer, denom = set(expr.numerator), set(expr.denominator)
+    ell = expr.arity
+    denom = set(expr.inverted)
 
     def series(k, i, j):
-        # coefficient of R^k in (1 - R)^[num] * (1 + R)^(-[den])
-        num = (1, -1) if (i, j) in numer else (1,)
+        # coefficient of R^k in (1 - R) * (1 + R)^(-[den])
         den = lambda m: (-1) ** m if (i, j) in denom else int(m == 0)
-        return sum(num[t] * den(k - t) for t in range(min(k + 1, len(num))))
+        return den(k) - (den(k - 1) if k else 0)
 
     states = {(tuple(alpha), frozenset()): 1}
-    for i, j in sorted(numer | denom, key=lambda ij: (-ij[1], ij[0])):
+    pairs = [(i, j) for i in range(1, ell) for j in range(i + 1, ell + 1)]
+    for i, j in sorted(pairs, key=lambda ij: (-ij[1], ij[0])):
         new = {}
         for (vec, supp), coeff in states.items():
             for k in range(max(vec[j - 1], 0) + 1):
@@ -372,7 +364,7 @@ def _random_expression(rng, ell):
     if rng.random() < 0.5:
         return rr_expression(ell)
     pairs = [(i, j) for i in range(1, ell) for j in range(i + 1, ell + 1)]
-    return jt_expression(ell, [p for p in pairs if rng.random() < 0.5])
+    return RaisingExpression(ell, tuple(p for p in pairs if rng.random() < 0.5))
 
 
 @pytest.mark.parametrize("kind", ["c", "c_hat", "poly"])

@@ -5,7 +5,7 @@ fields, and the hash is that of the field tuple."""
 import pytest
 
 from schubring.invariants import GeneratorSet
-from schubring.raising import PfaffianSpec, rr_expression
+from schubring.raising import PfaffianSpec, RaisingExpression, rr_expression
 from schubring.serialize import PolynomialDocument
 from schubring.weyl import SignedPermutation, TypedPartition, shape, transition_data
 
@@ -42,13 +42,13 @@ CASES = [
     ),
     (
         rr_expression(2),
-        "RaisingExpression(arity=2, numerator=((1, 2),), denominator=((1, 2),))",
-        (2, ((1, 2),), ((1, 2),)),
+        "RaisingExpression(arity=2, inverted=((1, 2),))",
+        (2, ((1, 2),)),
     ),
     (
         PfaffianSpec((0,), (-1,), (2,), hatted=True),
-        "PfaffianSpec(rho=(0,), beta=(-1,), alpha=(2,), hatted=True, star=False)",
-        ((0,), (-1,), (2,), True, False),
+        "PfaffianSpec(rho=(0,), beta=(-1,), alpha=(2,), hatted=True)",
+        ((0,), (-1,), (2,), True),
     ),
     (
         GeneratorSet("gamma", 1, ()),
@@ -92,3 +92,5 @@ def test_validation_still_raises():
         TypedPartition((2,), 2, 0)
     with pytest.raises(ValueError):
         TypedPartition((2, 2), 1, 0)
+    with pytest.raises(ValueError):
+        RaisingExpression(2, ((1, 3),))

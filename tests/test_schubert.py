@@ -393,6 +393,28 @@ def test_pfaffian_formula_d():
                 pfaffian_formula(w, n, "D", check=True)
 
 
+@pytest.mark.parametrize("flavor", ["BC", "D"])
+def test_longest_element_spec_has_the_closed_form(flavor):
+    # rho = delta_{m-1}, beta = -rho, alpha = (2m-1, ..., 3, 1) in type BC and
+    # (2m-2, ..., 4, 2) in type D, written out here without the shape data
+    from schubring.raising import PfaffianSpec
+    from schubring.schubert import _pfaffian_spec
+
+    for m in range(1, 7):
+        rows, top = (m, 2 * m - 1) if flavor == "BC" else (m - 1, 2 * m - 2)
+        rho = tuple(m - 1 - i for i in range(rows))
+        alpha = tuple(top - 2 * i for i in range(rows))
+        want = PfaffianSpec(rho, tuple(-r for r in rho), alpha, hatted=flavor == "D")
+        assert _pfaffian_spec(longest_element(m, flavor)) == want, m
+
+
+@pytest.mark.parametrize("flavor, ranks", [("BC", (1, 2, 3)), ("D", (2, 3))])
+def test_pfaffian_formula_top_member(flavor, ranks):
+    # n = m: the identity is m-Grassmannian and its product element is w0
+    for m in ranks:
+        pfaffian_formula(S.identity(flavor), m, flavor, check=True)
+
+
 def test_grassmannian_specialization_theta():
     from schubring.weyl import enumerate_grassmannian, grassmannian_shape
 

@@ -74,21 +74,6 @@ def test_reflections():
         S((-2, -1), "D").apply_reflection("tbar", 1, 1)
 
 
-def test_tbar_cover_predicate_matches_lengths():
-    for flavor, kind in (("BC", "W"), ("D", "Wtilde")):
-        for w in enumerate_group(kind, 3):
-            for i in range(1, 4):
-                for j in range(i, 4):
-                    if flavor == "D" and i == j:
-                        continue
-                    t = w.apply_reflection("tbar", i, j)
-                    assert w.tbar_covers(i, j) == (t.length() == w.length() + 1), (
-                        w.window,
-                        i,
-                        j,
-                    )
-
-
 def test_products_and_inverses():
     rng = random.Random(5)
     els = enumerate_group("W", 3)
