@@ -1,18 +1,17 @@
 """Divided differences and Schubert polynomials of types A, B, C and D.
 
-Every double Schubert polynomial is computed along two independent routes.
-The transition recursion ends in multi-Schur Pfaffian data for the
-increasing elements.  The divided-difference route builds the single (y-free)
-polynomials by divided differences from the top-cell Pfaffian anchor at
-y = 0, and assembles the double polynomial from them and type A factors in
--Y.  A shared cache stores one value per key together with the provenance
-flags; whenever both routes have produced a value they are required to
-agree exactly.
+Every double Schubert polynomial is computed along two independent routes,
+each with its own in-process memo.  The transition recursion ends in
+multi-Schur Pfaffian data for the increasing elements, and memoizes each
+double polynomial it reaches.  The divided-difference route builds the
+single (y-free) polynomials by divided differences from the top-cell Pfaffian
+anchor at y = 0, memoizes them in ``_SINGLE``, and assembles the double
+polynomial from them and type A factors in -Y.  ``schubert_poly`` with
+method 'both' runs the two routes and requires them to agree exactly.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 from .polyring import Dyadic
@@ -129,99 +128,13 @@ def _anchor(flavor: str, m: int, double: bool) -> GammaElement:
 # ---------------------------------------------------------------------------
 
 
-class CachedTable:
-    """Memo from (flavor, window) to the double Schubert polynomial, with
-    provenance tracking; both routes must agree when both have run."""
-
-    def __init__(self):
-        self.values: dict = {}
-        self.provenance: dict = {}
-
-    def lookup(self, key):
-        return self.values.get(key)
-
-    def store(self, key, value: GammaElement, how: str):
-        old = self.values.get(key)
-        if old is not None:
-            if old != value:
-                raise ArithmeticError(
-                    f"provenance disagreement at {key}: {how} vs {self.provenance[key]}"
-                )
-            self.provenance[key] |= {how}
-        else:
-            disk = _disk_load(key)
-            if disk is not None and disk != value:
-                raise ArithmeticError(f"disk cache disagreement at {key}")
-            self.values[key] = value
-            self.provenance[key] = {how}
-            if disk is None:
-                _disk_store(key, value)
-        return value
-
-
-_TABLE = CachedTable()
-
-
-def _cache_dir() -> str | None:
-    return os.environ.get("SCHUBERT_CACHE_DIR")
-
-
-DISK_FORMAT = 2  # raise it when the normal form or the document format changes
-
-
-def _disk_key(key) -> str:
-    """The file stem of a (flavor, window, kind) key, e.g. ``v2_BC_2_-1_double``.
-    Flavor and kind hold no underscore, so distinct keys get distinct stems,
-    and an entry written under another DISK_FORMAT is never read."""
-    flavor, window, kind = key
-    return "_".join((f"v{DISK_FORMAT}", flavor, *map(str, window), kind))
-
-
-def _disk_load(key):
-    """The stored value, or None when the entry is missing, unreadable or
-    truncated (the caller then recomputes and rewrites it)."""
-    d = _cache_dir()
-    if not d:
-        return None
-    from .serialize import document_to_gamma, parse_document
-
-    try:
-        with open(os.path.join(d, _disk_key(key) + ".json")) as fh:
-            return document_to_gamma(parse_document(fh.read()))
-    except (OSError, ValueError):
-        return None
-
-
-def _disk_store(key, value: GammaElement):
-    """Write the entry to a temporary file and rename it into place, so a
-    reader never sees a partial entry."""
-    d = _cache_dir()
-    if not d:
-        return
-    os.makedirs(d, exist_ok=True)
-    from .serialize import gamma_to_document, render_document
-
-    path = os.path.join(d, _disk_key(key) + ".json")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as fh:
-        # a type D entry lists its coefficients in the b basis, like a D document
-        family = "b" if key[0] == "D" else "c"
-        fh.write(render_document(gamma_to_document(value, family, {"key": list(key)})))
-    os.replace(tmp, path)
-
-
 def schubert_transition(w: SignedPermutation, flavor: str | None = None) -> GammaElement:
     """The double Schubert polynomial via the transition recursion."""
     flavor = flavor or w.flavor
-    w = w.with_flavor(flavor)
-    key = (flavor, w.window, "double")
-    got = _TABLE.lookup(key)
-    if got is not None and "transition" in _TABLE.provenance[key]:
-        return got
-    val = _transition_value(flavor, w.window)
-    return _TABLE.store(key, val, "transition")
+    return _transition_value(flavor, w.with_flavor(flavor).window)
 
 
+@lru_cache(maxsize=None)
 def _transition_value(flavor: str, window: tuple) -> GammaElement:
     w = SignedPermutation(window, flavor)
     if not w.window:  # CS_id = 1
@@ -254,18 +167,13 @@ def schubert_divdiff(w: SignedPermutation, flavor: str | None = None) -> GammaEl
     """
     flavor = flavor or w.flavor
     w = w.with_flavor(flavor)
-    key = (flavor, w.window, "double")
-    got = _TABLE.lookup(key)
-    if got is not None and "divdiff" in _TABLE.provenance[key]:
-        return got
     m = max(w.support, 2 if flavor == "D" else 1)
     pairs = ((u.inverse(), u.inverse().with_flavor(flavor) * w) for u in enumerate_group("S", m))
-    total = _gsum(
+    return _gsum(
         (_type_a_at_minus_y(ui.window) * _single(v, m), 1)
         for ui, v in pairs
         if ui.length() + v.length() == w.length()
     )
-    return _TABLE.store(key, total, "divdiff")
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +183,7 @@ def _type_a_at_minus_y(window: tuple) -> GammaElement:
     return schubert_poly(SignedPermutation(window, "A"), "A", double=False).omega()
 
 
-# (flavor, window) -> the single polynomial; in process only, never on disk
+# (flavor, window) -> the single polynomial: the divided-difference route's memo
 _SINGLE: dict = {}
 
 
@@ -315,7 +223,8 @@ def schubert_poly(
 ) -> GammaElement:
     """CS_w / DS_w / the type A polynomial, by the requested route.
 
-    method 'both' forces the two routes and the cache asserts agreement.
+    method 'both' runs the two routes and raises ArithmeticError when their
+    double polynomials differ.
     """
     flavor = flavor or w.flavor
     if flavor == "A":
@@ -335,7 +244,8 @@ def schubert_poly(
         val = schubert_divdiff(w, flavor)
     elif method == "both":
         val = schubert_transition(w, flavor)
-        schubert_divdiff(w, flavor)
+        if val != schubert_divdiff(w, flavor):
+            raise ArithmeticError(f"the two routes disagree at {w.window}")
     else:
         raise ValueError(f"unknown method {method!r}")
     return val if double else val.set_y_zero()
@@ -402,7 +312,8 @@ def schubert_expand_single(f: GammaElement, flavor: str = "BC") -> dict:
     the constant terms of all divided differences, and checked by
     re-summation.
     """
-    assert f.max_yvar() == 0, "single expansion needs a y-free element"
+    if f.max_yvar():
+        raise ValueError("single expansion needs a y-free element")
     d = f.degree()
     coeffs: dict = {}
     level = {SignedPermutation.identity(flavor): f}
@@ -502,7 +413,8 @@ def verify_theta_alternant(n: int, lam, flavor: str = "BC") -> dict:
         sign = (-1) ** ((n * (n + 1) // 2) % 2)
         pref = 1
     else:
-        assert isinstance(lam, TypedPartition)
+        if not isinstance(lam, TypedPartition):
+            raise ValueError(f"a type D shape must be a TypedPartition, not {lam!r}")
         w = grassmannian_element(lam, n, "D")
         target = eta(n, lam, double=True)
         sign = (-1) ** ((n * (n - 1) // 2) % 2)

@@ -138,7 +138,11 @@ def test_expand_theta_basis(tmp_path, capsys):
     assert json.loads(out)["coefficients"] == {"[3]": 1}
 
 
-@pytest.mark.parametrize("text", ["[]", '{"schema": 1}'])
+_DOCUMENT = render_document(gamma_to_document(GammaElement.monomial(xk=(2, 1))))
+
+
+@pytest.mark.parametrize("text", ["[]", '{"schema": 1}',
+                                  pytest.param(_DOCUMENT[: len(_DOCUMENT) // 2], id="truncated")])
 def test_expand_rejects_non_document(text, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -198,64 +202,12 @@ def test_verify_output_sorted(capsys):
     assert lines == sorted(lines)
 
 
-@pytest.mark.parametrize("flavor, window", [("BC", (3, -2, 1)), ("D", (-2, 3, -1))],
-                         ids=["BC", "D"])
-def test_disk_cache_roundtrip(flavor, window, tmp_path, monkeypatch):
-    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
-    from schubring import schubert as sch
-    from schubring.weyl import SignedPermutation
-
-    fresh = sch.CachedTable()
-    monkeypatch.setattr(sch, "_TABLE", fresh)
-    w = SignedPermutation(window, flavor)
-    val = sch.schubert_transition(w)
-    entry = tmp_path / (sch._disk_key((flavor, window, "double")) + ".json")
-    doc = parse_document(entry.read_text())
-    # a type D entry lists its coefficients in the b basis, as every entry of
-    # this DISK_FORMAT does, so entries written by earlier versions stay hits
-    assert doc.family == ("b" if flavor == "D" else "c")
-    assert document_to_gamma(doc) == val
-    # a second (cold) table reads the same value back from disk
-    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
-    assert sch.schubert_transition(w) == val
-
-
-def _check_damaged_entry_is_a_miss(damage, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
-    from schubring import schubert as sch
-
-    args = ("compute", "--lie-type", "C", "--w", "[2,-1]", "--double")
-    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
-    code, first, _ = run_cli(*args, capsys=capsys)
-    assert code == 0
-    entry = tmp_path / (sch._disk_key(("BC", (2, -1), "double")) + ".json")
-    good = entry.read_text()
-    entry.write_text(good[: len(good) // 2] if damage == "truncated" else damage)
-    # a cold table meets the damaged entry, recomputes and rewrites it
-    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
-    code, again, _ = run_cli(*args, capsys=capsys)
-    assert code == 0
-    assert again == first
-    assert entry.read_text() == good
-    assert not list(tmp_path.glob("*.tmp"))
-
-
-def test_disk_cache_truncated_entry_is_a_miss(tmp_path, monkeypatch, capsys):
-    _check_damaged_entry_is_a_miss("truncated", tmp_path, monkeypatch, capsys)
-
-
-@pytest.mark.parametrize("damage", ["[]", '{"schema": 1}'])
-def test_disk_cache_non_document_entry_is_a_miss(damage, tmp_path, monkeypatch, capsys):
-    _check_damaged_entry_is_a_miss(damage, tmp_path, monkeypatch, capsys)
-
-
 def test_type_b_divdiff_runs_the_divided_difference_route(monkeypatch, capsys):
     from schubring import schubert as sch
 
     def forbidden(*args, **kwargs):
         raise ArithmeticError("the divided-difference route ran")
 
-    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
     monkeypatch.setattr(sch, "_SINGLE", {})
     monkeypatch.setattr(sch, "schubert_divdiff", forbidden)
     monkeypatch.setattr(sch, "_single", forbidden)
@@ -264,6 +216,41 @@ def test_type_b_divdiff_runs_the_divided_difference_route(monkeypatch, capsys):
     assert (code, out) == (4, ""), err
     code, out, err = run_cli(*args, capsys=capsys)
     assert code == 0 and json.loads(out)["metadata"]["provenance"] == "transition", err
+
+
+def _wrong_at(orig, flavor, window):
+    """orig, plus one at the given element only."""
+    def wrong(v, *args):
+        f = orig(v, *args)
+        return f + GammaElement.const(1) if (v.flavor, v.window) == (flavor, window) else f
+    return wrong
+
+
+def test_verify_reports_route_disagreement_as_fail(monkeypatch, capsys):
+    from schubring import schubert as sch
+
+    monkeypatch.setattr(sch, "_single", _wrong_at(sch._single, "BC", (2, -1)))
+    code, out, err = run_cli("verify", "--suite", "transitions-vs-divdiff", "--n", "2",
+                             capsys=capsys)
+    assert code == 1, err
+    assert "FAIL transitions-vs-divdiff/BC-n2  counterexample: 8 checked; first failures " \
+        "[(2, -1), (1, -2)]" in out.splitlines()
+    assert "PASS transitions-vs-divdiff/D-n2" in out.splitlines()
+
+
+@pytest.mark.parametrize("route", ["transition", "divdiff"])
+def test_method_both_exits_4_when_routes_disagree(route, monkeypatch, capsys):
+    from schubring import schubert as sch
+
+    if route == "transition":
+        # a constant, so the transition memo never sees the wrong value
+        monkeypatch.setattr(sch, "schubert_transition", lambda w, flavor=None: GammaElement.const(1))
+    else:
+        monkeypatch.setattr(sch, "_single", _wrong_at(sch._single, "BC", (2, -1)))
+    code, out, err = run_cli("compute", "--lie-type", "C", "--w", "[2,-1]", "--double",
+                             "--method", "both", capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == "internal mismatch: the two routes disagree at (2, -1)\n"
 
 
 def _run_python(*args):
@@ -341,9 +328,8 @@ def test_window_validation_survives_optimize(window):
         ("--eta", "3", "3,3,1", "1"),
     ],
 )
-def test_ring_arithmetic_output_survives_optimize(args, monkeypatch):
+def test_ring_arithmetic_output_survives_optimize(args):
     # the term kernel must not depend on assert statements
-    monkeypatch.delenv("SCHUBERT_CACHE_DIR", raising=False)
     plain = _run_python("-m", "schubring.cli", "compute", *args)
     optimized = _run_optimized("-m", "schubring.cli", "compute", *args)
     assert plain.returncode == 0, plain.stderr
@@ -377,6 +363,19 @@ def test_pfaffian_formula_precondition_survives_optimize(check):
     ))
     assert proc.returncode == 0, (proc.stdout, proc.stderr)
     assert proc.stdout == "ValueError: (1, 3, 2) is not 1-Grassmannian\n"
+
+
+def test_single_expansion_precondition_survives_optimize():
+    proc = _run_optimized("-c", (
+        "from schubring.gammaring import GammaElement\n"
+        "from schubring.schubert import schubert_expand_single\n"
+        "try:\n"
+        "    schubert_expand_single(GammaElement.monomial(yk=(1,)))\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ValueError: single expansion needs a y-free element\n"
 
 
 def test_pfaffian_check_survives_optimize():
@@ -432,26 +431,6 @@ def test_expand_rejects_other_family_before_work(lie_type, window, basis, tmp_pa
     assert len(err.splitlines()) == 1 and f"--basis {basis}" in err
     proc = _run_optimized("-m", "schubring.cli", *args)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
-
-
-def test_disk_cache_entry_under_old_name_is_a_miss(tmp_path, monkeypatch, capsys):
-    import hashlib
-
-    from schubring import schubert as sch
-
-    # the sha256 file name of earlier versions, holding a wrong value
-    key = ("BC", (2, -1), "double")
-    old = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
-    (tmp_path / (old + ".json")).write_text(render_document(gamma_to_document(GammaElement.const(7))))
-    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
-    code, out, _ = run_cli("compute", "--lie-type", "C", "--w", "[2,-1]", "--double", capsys=capsys)
-    assert code == 0
-    monkeypatch.delenv("SCHUBERT_CACHE_DIR")
-    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
-    assert run_cli("compute", "--lie-type", "C", "--w", "[2,-1]", "--double", capsys=capsys)[1] == out
-    assert sch._disk_key(key) == "v2_BC_2_-1_double"
-    assert (tmp_path / "v2_BC_2_-1_double.json").exists()
 
 
 def test_suite_names_match_verify_suites(capsys):

@@ -34,17 +34,15 @@ def _replay(key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", sorted(RECORDS))
-def test_golden_replay(key, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("SCHUBERT_CACHE_DIR", raising=False)
+def test_golden_replay(key, tmp_path, capsys):
     code, out = _replay(key, tmp_path, capsys)
     assert code == RECORDS[key]["rc"]
     assert hashlib.sha256(out.encode()).hexdigest() == RECORDS[key]["sha256"]
 
 
 @pytest.mark.parametrize("key", sorted(CHECKS))
-def test_golden_verify_replay(key, monkeypatch, capsys):
+def test_golden_verify_replay(key, capsys):
     """A recorded key is the ``verify --suite`` argument list, e.g. "braid --n 3"."""
-    monkeypatch.delenv("SCHUBERT_CACHE_DIR", raising=False)
     code = main(["verify", "--suite", *shlex.split(key)])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0

@@ -255,7 +255,7 @@ def test_divided_differences_match_oracle_descent(flavor):
     assert len(model) == (48 if flavor == "BC" else 24)
 
 
-def test_divdiff_route_uses_no_transition_code(monkeypatch, tmp_path):
+def test_divdiff_route_uses_no_transition_code(monkeypatch):
     from schubring import schubert as sch
 
     def forbidden(*args, **kwargs):
@@ -263,16 +263,10 @@ def test_divdiff_route_uses_no_transition_code(monkeypatch, tmp_path):
 
     for name in ("schubert_transition", "_transition_value", "transition_data"):
         monkeypatch.setattr(sch, name, forbidden)
-    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
     monkeypatch.setattr(sch, "_SINGLE", {})
-    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
     for win, flavor in (((2, -3, 1), "BC"), ((-2, 3, -1), "D")):
         w = S(win, flavor)
         assert schubert_divdiff(w).set_y_zero() == sch._SINGLE[(flavor, w.window)]
-    # the single memo stays in the process: only the double values reach disk
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "v2_BC_2_-3_1_double.json", "v2_D_-2_3_-1_double.json"
-    ]
 
 
 def test_single_divdiff_skips_the_factorization(monkeypatch):
@@ -285,7 +279,6 @@ def test_single_divdiff_skips_the_factorization(monkeypatch):
         raise AssertionError("a single polynomial reached the type A factors")
 
     monkeypatch.setattr(sch, "_type_a_at_minus_y", forbidden)
-    monkeypatch.setattr(sch, "_TABLE", sch.CachedTable())
     for ws, values in zip(groups, expected):
         for w, value in zip(ws, values):
             assert schubert_poly(w, double=False, method="divdiff") == value, w.window
@@ -445,8 +438,13 @@ def test_expand_single_examples():
 
 
 def test_expand_rejects_y():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="y-free"):
         schubert_expand_single(GammaElement.monomial(yk=(1,)), "BC")
+
+
+def test_theta_alternant_rejects_an_untyped_d_shape():
+    with pytest.raises(ValueError, match="TypedPartition"):
+        verify_theta_alternant(2, (1,), "D")
 
 
 def test_scalar_product_top_cell():
@@ -516,7 +514,7 @@ def test_restriction():
 
 
 def test_cache_provenance_consistency():
-    # both routes fill the same cache slot; disagreement would raise
+    # method 'both' runs the two routes and raises when they disagree
     w = S((2, -1), "BC")
     a = schubert_poly(w, "BC", method="both")
     assert a == schubert_transition(w)
