@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .weyl import SignedPermutation, TypedPartition, is_n_strict
 from . import schubert as sch
 from . import raising
-# Unused here, but bench/tracer.py wraps only the modules this import loads,
-# so without it traced verify runs would miss exact_rank and to_vector.
+# Unused here: bench/tracer.py wraps its targets in the modules that importing
+# this one loads, and without this line it would report invariants.exact_rank
+# and invariants.to_vector as absent.
 from . import invariants  # noqa: F401
 from .serialize import (
     document_to_gamma,
@@ -211,6 +213,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        for name in ("n", "max_length", "max_degree"):
+            if (getattr(args, name, None) or 0) < 0:
+                raise PreconditionError(f"--{name.replace('_', '-')} must be nonnegative")
         if args.command == "compute":
             try:
                 if args.theta is not None:
@@ -242,4 +247,16 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # Interpreter finalization frees nothing a finished request needs, so skip
+    # it once the output is flushed.  A profiler or tracer reports at exit, and
+    # finalization reports a failed flush, so those keep the normal exit.
+    if sys.getprofile() is None and sys.gettrace() is None:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except OSError:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)

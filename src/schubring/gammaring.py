@@ -11,7 +11,7 @@ so equality of elements is equality of term dictionaries.  The rewriting is
 cross-checked against an independent model that is faithful in every degree:
 Gamma (x) Q = Q[p_1, p_3, p_5, ...], with c_p sent to the Schur Q-function
 q_p written in odd power sums (Macdonald, Symmetric Functions and Hall
-Polynomials, III.8).
+Polynomials, III.8); ``verify`` holds that model.
 
 An element stores int numerators over one power of two, keyed by subscript
 tuple and packed monomial (one int per x/y monomial, so a monomial product is
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from math import factorial
 from operator import itemgetter
 
 from .polyring import (
@@ -467,13 +466,6 @@ def act_generator(i: int, f: GammaElement, flavor: str = "BC") -> GammaElement:
     return _element({k: n for k, n in out.items() if n}, f.exp)
 
 
-def weyl_act(w, f: GammaElement) -> GammaElement:
-    """Apply a group element to f."""
-    for i in reversed(w.reduced_word()):
-        f = act_generator(i, f, w.flavor)
-    return f
-
-
 # ---------------------------------------------------------------------------
 # exact division by the (negated) simple roots, for the divided differences
 # ---------------------------------------------------------------------------
@@ -566,7 +558,7 @@ def c_hat_entry(k: int, kprime: int, p: int, fsign: int) -> GammaElement:
 
 
 # ---------------------------------------------------------------------------
-# level-n generator families
+# the level-n generator
 # ---------------------------------------------------------------------------
 
 
@@ -574,106 +566,3 @@ def c_hat_entry(k: int, kprime: int, p: int, fsign: int) -> GammaElement:
 def level_c(n: int, p: int) -> GammaElement:
     """{}^n c_p = sum_j c_{p-j} e_j(X_n) (the single-variable level-n generator)."""
     return c_entry(n, 0, p)
-
-
-@lru_cache(maxsize=None)
-def level_c_double(n: int, p: int) -> GammaElement:
-    """{}^n c^n_p, the double (equivariant) level-n generator."""
-    return c_entry(n, n, p)
-
-
-def _b(q: int) -> GammaElement:
-    """The type D generator b_q = c_q / 2, for q >= 1."""
-    return GammaElement.generator(q) * Dyadic(1, 1)
-
-
-@lru_cache(maxsize=None)
-def level_b(n: int, p: int) -> GammaElement:
-    """{}^n b_p = sum_j b_{p-j} e_j(X_n) (b_0 = 1), with every b_q, q >= 1,
-    doubled when p < n."""
-    out = GammaElement.from_poly(elem_sym(n, p, "x"))
-    for j in range(0, p):
-        out = out + _b(p - j) * GammaElement.from_poly(elem_sym(n, j, "x")) * (2 if p < n else 1)
-    return out
-
-
-@lru_cache(maxsize=None)
-def level_b_prime(n: int) -> GammaElement:
-    """{}^n b'_n = sum_{j<n} b_{n-j} e_j(X_n)."""
-    out = GammaElement.zero()
-    for j in range(0, n):
-        out = out + _b(n - j) * GammaElement.from_poly(elem_sym(n, j, "x"))
-    return out
-
-
-@lru_cache(maxsize=None)
-def btilde(n: int) -> GammaElement:
-    """btilde_n = sum_{j<n} b_{n-j} e_j(-Y_n), a kernel generator in type D."""
-    out = GammaElement.zero()
-    for j in range(0, n):
-        out = out + _b(n - j) * GammaElement.from_poly(elem_sym(n, j, "-y"))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the symmetric-function oracle
-# ---------------------------------------------------------------------------
-
-
-def _odd_partitions(p: int, top: int):
-    """Partitions of p into odd parts <= top, in decreasing order."""
-    if p == 0:
-        yield ()
-        return
-    for a in range(min(p, top), 0, -1):
-        if a % 2:
-            for rest in _odd_partitions(p - a, a):
-                yield (a,) + rest
-
-
-def _q_in_power_sums(p: int) -> dict:
-    """q_p = sum over odd partitions lam of p of 2^len(lam) p_lam / z_lam."""
-    from fractions import Fraction
-    out = {}
-    for lam in _odd_partitions(p, p):
-        z = 1
-        for part in set(lam):
-            m = lam.count(part)
-            z *= part**m * factorial(m)
-        out[lam] = Fraction(2 ** len(lam), z)
-    return out
-
-
-def oracle_embed(f: GammaElement) -> dict:
-    """The image of f in the power-sum model (see oracle_raw_embed)."""
-    return oracle_raw_embed([(s, x, y, c) for (s, x, y), c in f.terms.items()])
-
-
-def oracle_raw_embed(raw_terms) -> dict:
-    """Embed a raw (un-normalized) list of (subscripts, x-exps, y-exps, coeff)
-    term by term: c_p -> q_p, x and y unchanged.
-
-    The image is {(lam, xk, yk): Fraction} with lam a decreasing tuple of odd
-    power-sum indices.  The model is faithful in every degree and applies no
-    relation, so it checks the rewriting independently.
-    """
-    from fractions import Fraction
-    out: dict = {}
-    for subs, xk, yk, coeff in raw_terms:
-        if any(p < 0 for p in subs):
-            continue
-        piece = {(): coeff.as_fraction() if isinstance(coeff, Dyadic) else Fraction(coeff)}
-        for p in subs:
-            if p == 0:
-                continue
-            q = _q_in_power_sums(p)
-            prod: dict = {}
-            for lam, a in piece.items():
-                for mu, b in q.items():
-                    k = tuple(sorted(lam + mu, reverse=True))
-                    prod[k] = prod.get(k, 0) + a * b
-            piece = prod
-        xk, yk = _trim(tuple(xk)), _trim(tuple(yk))
-        for lam, c in piece.items():
-            out[(lam, xk, yk)] = out.get((lam, xk, yk), 0) + c
-    return {k: c for k, c in out.items() if c}

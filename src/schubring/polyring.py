@@ -267,16 +267,3 @@ def complete_sym(r: int, j: int, alphabet: str = "x") -> SparsePoly:
         for k in range(1, j + 1):
             row[k] = row[k] + vs[m - 1] * row[k - 1]
     return row[j]
-
-
-def supersym_e(p: int, n: int) -> SparsePoly:
-    """The supersymmetric elementary function sum_{i+j=p} e_i(X_n) h_j(-Y_n)."""
-    if p < 0:
-        return SparsePoly.zero()
-    out = SparsePoly.zero()
-    for i in range(0, p + 1):
-        ei = elem_sym(n, i, "x")
-        if not ei and i > 0:
-            continue
-        out = out + ei * complete_sym(n, p - i, "-y")
-    return out

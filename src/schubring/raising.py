@@ -1,6 +1,5 @@
 """Raising-operator calculus: expansion of operator products against indexed
-entry families, multi-Schur Pfaffians, theta/eta polynomial constructors,
-Qtilde/Ptilde polynomials, and straightening.
+entry families, multi-Schur Pfaffians and theta/eta polynomial constructors.
 
 A raising operator R_ij adds 1 to slot i and subtracts 1 from slot j of an
 index vector.  Every operator here has the form
@@ -19,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record
-from .polyring import Dyadic, elem_sym, supersym_e
+from .polyring import Dyadic, elem_sym
 from .gammaring import (
     GammaElement,
     _gsum,
@@ -133,15 +132,6 @@ def c_hat_family(rho, beta):
     return entry
 
 
-def poly_entry_family(fn):
-    """Wrap a subscript -> SparsePoly map as an entry family."""
-
-    def entry(row: int, a: int, keep_hat: bool) -> GammaElement:
-        return GammaElement.from_poly(fn(a))
-
-    return entry
-
-
 # ---------------------------------------------------------------------------
 # multi-Schur Pfaffians
 # ---------------------------------------------------------------------------
@@ -237,13 +227,6 @@ def multi_schur_pfaffian(spec: PfaffianSpec, cross_check: bool = True) -> GammaE
                 f"pfaffian mismatch between expansion and block evaluation: {spec}"
             )
     return val
-
-
-def schur_q(alpha) -> GammaElement:
-    """Q_alpha by raising expansion."""
-    alpha = tuple(alpha)
-    zeros = (0,) * len(alpha)
-    return _pfaffian_value_raising(PfaffianSpec(zeros, zeros, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -356,94 +339,3 @@ def eta(n: int, lam, double: bool = False) -> GammaElement:
 @lru_cache(maxsize=None)
 def _dressed_correction(n: int) -> GammaElement:
     return GammaElement.from_poly(elem_sym(n, n, "x"))
-
-
-# ---------------------------------------------------------------------------
-# Qtilde and Ptilde polynomials
-# ---------------------------------------------------------------------------
-
-
-def qtilde(lam, n: int, signed: bool = False) -> GammaElement:
-    """Qtilde_lambda(X_n) = (full raising product) e_lambda(X_n); the signed
-    variant evaluates at -X_n."""
-    lam = tuple(lam)
-    assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-    if not lam:
-        return GammaElement.const(1)
-    entry = poly_entry_family(lambda a: elem_sym(n, a, "x"))
-    val = expand(rr_expression(len(lam)), entry, lam)
-    return val.negate_x() if signed else val
-
-
-def qtilde_super(lam, n: int) -> GammaElement:
-    """The supersymmetric variant, built from the entries e-hat_a(X_n/Y_n)."""
-    lam = tuple(lam)
-    if not lam:
-        return GammaElement.const(1)
-    entry = poly_entry_family(lambda a: supersym_e(a, n))
-    return expand(rr_expression(len(lam)), entry, lam)
-
-
-def ptilde(lam, n: int, signed: bool = False) -> GammaElement:
-    """Ptilde_lambda = 2^{-length} Qtilde_lambda (lambda strict)."""
-    lam = tuple(lam)
-    assert all(lam[i] > lam[i + 1] for i in range(len(lam) - 1))
-    return qtilde(lam, n, signed) * Dyadic(1, len(lam))
-
-
-# ---------------------------------------------------------------------------
-# straightening
-# ---------------------------------------------------------------------------
-
-
-def hh_straighten(k: int, lam) -> GammaElement:
-    """Normal form of Q_{(k, lambda)} for an integer k and strict lambda.
-
-    Case analysis (lambda strict, k below lambda_1 or lambda empty):
-    a nonnegative k not among the parts sorts in with sign (-1)^{#larger
-    parts}; a negative k whose absolute value is a part removes that part
-    with the stated sign and a factor 2; every other case vanishes.
-    """
-    lam = tuple(lam)
-    assert all(lam[i] > lam[i + 1] > 0 for i in range(len(lam) - 1)) and all(
-        p > 0 for p in lam
-    )
-    nk = sum(1 for p in lam if p > abs(k))
-    if k >= 0 and k not in lam:
-        new = tuple(sorted(lam + ((k,) if k else ()), reverse=True))
-        return schur_q(new) * ((-1) ** nk)
-    if k < 0 and -k in lam:
-        new = tuple(p for p in lam if p != -k)
-        return schur_q(new) * ((-1) ** ((k + nk) % 2) * 2)
-    return GammaElement.zero()
-
-
-def decompose_qpla(p: int, lam, n: int):
-    """The explicit combination Q_{(p,lambda)} = sum of Q_mu * (level-n
-    generators), valid for p > max(n, lambda_1).
-
-    Returns a list of (mu, generator subscript, integer coefficient) with
-    Q_{(p,lambda)} = sum coeff * Q_mu * {}^n c_j, following the sign pattern
-    produced by straightening the negative-subscript terms.
-    """
-    lam = tuple(lam)
-    assert p > max([n] + list(lam)), "requires p above the level and lambda_1"
-    out = []
-    a_set = [r for r in range(0, p) if r not in lam]
-    for r in a_set:
-        nr = sum(1 for q in lam if q > r)
-        mu = tuple(sorted(lam + ((r,) if r else ()), reverse=True))
-        out.append((mu, p - r, (-1) ** (p - 1 - r + nr)))
-    for r in lam:
-        nr = sum(1 for q in lam if q > r)
-        mu = tuple(q for q in lam if q != r)
-        out.append((mu, p + r, 2 * (-1) ** (p - 1 + nr)))
-    return out
-
-
-def decompose_qpla_value(p: int, lam, n: int) -> GammaElement:
-    """Re-assemble the decomposition as a ring element (for exactness checks)."""
-    total = GammaElement.zero()
-    for mu, j, coeff in decompose_qpla(p, lam, n):
-        total = total + schur_q(mu) * level_c(n, j) * coeff
-    return total

@@ -21,7 +21,6 @@ from .gammaring import (
     _divide_uv,
     _gsum,
     act_generator,
-    weyl_act,
 )
 from .weyl import (
     SignedPermutation,
@@ -32,7 +31,6 @@ from .weyl import (
     shape,
     transition_data,
 )
-from . import raising
 from .raising import PfaffianSpec, multi_schur_pfaffian
 
 
@@ -257,15 +255,8 @@ def schubert_b(w: SignedPermutation, double: bool = True, method: str = "transit
     return cs * Dyadic(1, w.neg_count())
 
 
-def schubert_restricted(
-    w: SignedPermutation, n: int, flavor: str | None = None, method: str = "transition"
-) -> GammaElement:
-    """The primed polynomial: x_j = y_j = 0 for j > n."""
-    return schubert_poly(w, flavor, True, method).restrict_vars(n)
-
-
 # ---------------------------------------------------------------------------
-# Pfaffian formulas for Grassmannian-up-to-w0 elements
+# the Pfaffian data of Grassmannian-up-to-w0 elements
 # ---------------------------------------------------------------------------
 
 
@@ -283,25 +274,8 @@ def _pfaffian_spec(u: SignedPermutation) -> PfaffianSpec:
     return PfaffianSpec(nu, tuple(-m for m in mu), sh.lam, hatted=True)
 
 
-def pfaffian_formula(
-    w: SignedPermutation, n: int, flavor: str | None = None, check: bool = True
-) -> GammaElement:
-    """The multi-Schur Pfaffian equal to the Schubert polynomial of w * w0^(n);
-    w must be n-Grassmannian."""
-    flavor = flavor or w.flavor
-    w = w.with_flavor(flavor)
-    if not is_grassmannian(w, n):
-        raise ValueError(f"{w.window} is not {n}-Grassmannian")
-    w0 = longest_element(n, flavor) if n else SignedPermutation.identity(flavor)
-    what = w * w0
-    val = multi_schur_pfaffian(_pfaffian_spec(what), cross_check=False)
-    if check and val != schubert_poly(what, flavor):
-        raise ArithmeticError(f"pfaffian formula fails at {what.window}")
-    return val
-
-
 # ---------------------------------------------------------------------------
-# basis expansion and scalar products
+# basis expansion
 # ---------------------------------------------------------------------------
 
 
@@ -366,64 +340,3 @@ def theta_expand(f: GammaElement, n: int, flavor: str = "BC") -> dict:
             raise ValueError(f"not in the level-{n} invariant span: {win}")
         out[grassmannian_shape(w, n)] = c
     return out
-
-
-def scalar_product(
-    f: GammaElement, g: GammaElement, n: int, flavor: str = "BC", kind: str = "full"
-) -> GammaElement:
-    """The invariant-valued products: 'full' divides by the longest Weyl
-    element, 'sym' by the longest permutation, 'q' by their quotient."""
-    w0 = longest_element(n, flavor)
-    p0 = SignedPermutation(tuple(range(n, 0, -1)), flavor)
-    if kind == "full":
-        u = w0
-    elif kind == "sym":
-        u = p0
-    elif kind == "q":
-        u = w0 * p0
-    else:
-        raise ValueError(f"unknown product kind {kind!r}")
-    return divided_difference_w(u, f * g)
-
-
-def alternating_operator(f: GammaElement, n: int, flavor: str = "BC") -> GammaElement:
-    """Signed sum of the full Weyl group orbit of f."""
-    kind = "W" if flavor == "BC" else "Wtilde"
-    return _gsum((weyl_act(w, f), -1 if w.length() % 2 else 1) for w in enumerate_group(kind, n))
-
-
-def staircase_monomial(n: int, flavor: str) -> GammaElement:
-    """x^{delta_n + delta_{n-1}} for BC, x^{2 delta_{n-1}} for D."""
-    if flavor == "BC":
-        expo = tuple(2 * (n - i) + 1 for i in range(1, n + 1))
-    else:
-        expo = tuple(2 * (n - i) for i in range(1, n + 1))
-    return GammaElement.monomial(xk=expo)
-
-
-def verify_theta_alternant(n: int, lam, flavor: str = "BC") -> dict:
-    """Check the divided-difference and alternating-sum identities expressing
-    a level-n theta/eta polynomial through the top Pfaffian; returns a report."""
-    from .weyl import TypedPartition, grassmannian_element
-    from .raising import eta, theta
-
-    if flavor == "BC":
-        w = grassmannian_element(tuple(lam), n, "BC")
-        target = theta(n, tuple(lam), double=True)
-        sign = (-1) ** ((n * (n + 1) // 2) % 2)
-        pref = 1
-    else:
-        if not isinstance(lam, TypedPartition):
-            raise ValueError(f"a type D shape must be a TypedPartition, not {lam!r}")
-        w = grassmannian_element(lam, n, "D")
-        target = eta(n, lam, double=True)
-        sign = (-1) ** ((n * (n - 1) // 2) % 2)
-        pref = 2 ** (n - 1)
-    w0 = longest_element(n, flavor)
-    pf = pfaffian_formula(w, n, flavor, check=False)
-    dd = divided_difference_w(w0, pf)
-    ok_dd = dd == target
-    lhs = target * alternating_operator(staircase_monomial(n, flavor), n, flavor)
-    rhs = alternating_operator(pf, n, flavor) * (sign * pref)
-    ok_alt = lhs == rhs
-    return {"divided_difference": ok_dd, "alternant": ok_alt, "shape": tuple(lam) if flavor == "BC" else (lam.parts, lam.ptype)}

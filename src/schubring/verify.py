@@ -1,23 +1,31 @@
 """The verification suites of ``schubring verify``: each yields (check id,
-passed, detail) triples."""
+passed, detail) triples.
+
+The checks that only a suite uses sit beside it: the Pfaffian formula, the
+theta/eta alternants and the power-sum oracle of the normal form.  The
+kernel, hilbert, orthogonality, invariance and straightening suites import
+``kernel`` when they run, so no other suite loads it.
+"""
 
 from __future__ import annotations
 
 import random
+import sys
+from math import factorial
 
-from .polyring import Dyadic
-from .gammaring import GammaElement, oracle_embed, oracle_raw_embed
+from .polyring import Dyadic, _trim
+from .gammaring import GammaElement, _gsum, act_generator
 from .weyl import (
     SignedPermutation,
     TypedPartition,
     enumerate_group,
+    grassmannian_element,
     is_grassmannian,
     is_n_strict,
     shape,
 )
 from . import schubert as sch
-from . import raising
-from . import invariants as inv
+from .raising import eta, multi_schur_pfaffian, theta
 
 
 def _suite_shapes(bounds):
@@ -107,6 +115,23 @@ def _suite_anchors(bounds):
             yield f"anchors/{flavor}-m{m}", ok, None
 
 
+def pfaffian_formula(
+    w: SignedPermutation, n: int, flavor: str | None = None, check: bool = True
+) -> GammaElement:
+    """The multi-Schur Pfaffian equal to the Schubert polynomial of w * w0^(n);
+    w must be n-Grassmannian."""
+    flavor = flavor or w.flavor
+    w = w.with_flavor(flavor)
+    if not is_grassmannian(w, n):
+        raise ValueError(f"{w.window} is not {n}-Grassmannian")
+    w0 = sch.longest_element(n, flavor) if n else SignedPermutation.identity(flavor)
+    what = w * w0
+    val = multi_schur_pfaffian(sch._pfaffian_spec(what), cross_check=False)
+    if check and val != sch.schubert_poly(what, flavor):
+        raise ArithmeticError(f"pfaffian formula fails at {what.window}")
+    return val
+
+
 def _suite_pfaffian_props(bounds):
     m = min(bounds.n + 1, 3)
     for flavor, kind, levels in (("BC", "W", (0, 1, 2)), ("D", "Wtilde", (0, 2))):
@@ -117,11 +142,58 @@ def _suite_pfaffian_props(bounds):
             for w in enumerate_group(kind, m):
                 if is_grassmannian(w, n):
                     try:
-                        sch.pfaffian_formula(w, n, flavor, check=True)
+                        pfaffian_formula(w, n, flavor, check=True)
                     except ArithmeticError:
                         bad.append(w.window)
             yield f"pfaffian-props/{flavor}-m{m}-n{n}", not bad, bad[:3]
     yield "pfaffian-props/D-n1-excluded", True, "degenerate level skipped (see notes)"
+
+
+def weyl_act(w, f: GammaElement) -> GammaElement:
+    """Apply a group element to f."""
+    for i in reversed(w.reduced_word()):
+        f = act_generator(i, f, w.flavor)
+    return f
+
+
+def alternating_operator(f: GammaElement, n: int, flavor: str = "BC") -> GammaElement:
+    """Signed sum of the full Weyl group orbit of f."""
+    kind = "W" if flavor == "BC" else "Wtilde"
+    return _gsum((weyl_act(w, f), -1 if w.length() % 2 else 1) for w in enumerate_group(kind, n))
+
+
+def staircase_monomial(n: int, flavor: str) -> GammaElement:
+    """x^{delta_n + delta_{n-1}} for BC, x^{2 delta_{n-1}} for D."""
+    if flavor == "BC":
+        expo = tuple(2 * (n - i) + 1 for i in range(1, n + 1))
+    else:
+        expo = tuple(2 * (n - i) for i in range(1, n + 1))
+    return GammaElement.monomial(xk=expo)
+
+
+def verify_theta_alternant(n: int, lam, flavor: str = "BC") -> dict:
+    """Check the divided-difference and alternating-sum identities expressing
+    a level-n theta/eta polynomial through the top Pfaffian; returns a report."""
+    if flavor == "BC":
+        w = grassmannian_element(tuple(lam), n, "BC")
+        target = theta(n, tuple(lam), double=True)
+        sign = (-1) ** ((n * (n + 1) // 2) % 2)
+        pref = 1
+    else:
+        if not isinstance(lam, TypedPartition):
+            raise ValueError(f"a type D shape must be a TypedPartition, not {lam!r}")
+        w = grassmannian_element(lam, n, "D")
+        target = eta(n, lam, double=True)
+        sign = (-1) ** ((n * (n - 1) // 2) % 2)
+        pref = 2 ** (n - 1)
+    w0 = sch.longest_element(n, flavor)
+    pf = pfaffian_formula(w, n, flavor, check=False)
+    dd = sch.divided_difference_w(w0, pf)
+    ok_dd = dd == target
+    lhs = target * alternating_operator(staircase_monomial(n, flavor), n, flavor)
+    rhs = alternating_operator(pf, n, flavor) * (sign * pref)
+    ok_alt = lhs == rhs
+    return {"divided_difference": ok_dd, "alternant": ok_alt, "shape": tuple(lam) if flavor == "BC" else (lam.parts, lam.ptype)}
 
 
 def _suite_alternants(bounds):
@@ -129,33 +201,39 @@ def _suite_alternants(bounds):
     for lam in [(1,), (2,), (3, 1), (2, 1)]:
         if not is_n_strict(lam, n):
             continue
-        rep = sch.verify_theta_alternant(n, lam, "BC")
+        rep = verify_theta_alternant(n, lam, "BC")
         yield f"alternants/C-{lam}", rep["divided_difference"] and rep["alternant"], rep
     for parts, t in [((1,), 0), ((2,), 1), ((2,), 2), ((2, 1), 1), ((1, 1), 0)]:
-        rep = sch.verify_theta_alternant(n, TypedPartition(parts, n, t), "D")
+        rep = verify_theta_alternant(n, TypedPartition(parts, n, t), "D")
         yield f"alternants/D-{parts}-t{t}", rep["divided_difference"] and rep["alternant"], rep
 
 
 def _suite_kernel(bounds):
+    from . import kernel
+
     n = bounds.n
     dmax = bounds.max_degree if bounds.max_degree is not None else 4
     for flavor in ("BC", "D"):
         for d in range(1, dmax + 1):
-            rep = inv.kernel_span_equality(n, d, flavor)
+            rep = kernel.kernel_span_equality(n, d, flavor)
             yield f"kernel/{flavor}-n{n}-d{d}", rep["equal"], rep
 
 
 def _suite_hilbert(bounds):
+    from . import kernel
+
     for flavor in ("BC", "D"):
         for n in (2, min(bounds.n, 3)):
             dmax = 4 if n == 2 else min(bounds.max_degree or 6, 6)
-            hs = inv.quotient_hilbert_series(n, flavor, dmax)
-            hist = inv.weyl_length_histogram(n, flavor)
+            hs = kernel.quotient_hilbert_series(n, flavor, dmax)
+            hist = kernel.weyl_length_histogram(n, flavor)
             expect = [hist[d] if d < len(hist) else 0 for d in range(dmax + 1)]
             yield f"hilbert/{flavor}-n{n}", hs == expect, {"got": hs, "expected": expect}
 
 
 def _suite_orthogonality(bounds):
+    from . import kernel
+
     n = 2
     for flavor, kind in (("BC", "W"), ("D", "Wtilde")):
         w0 = sch.longest_element(n, flavor)
@@ -165,7 +243,7 @@ def _suite_orthogonality(bounds):
             for v in enumerate_group(kind, n):
                 if u.length() + v.length() != top:
                     continue
-                val = sch.scalar_product(
+                val = kernel.scalar_product(
                     sch.schubert_poly(u, flavor, False),
                     sch.schubert_poly(v, flavor, False),
                     n,
@@ -176,35 +254,98 @@ def _suite_orthogonality(bounds):
                     bad.append((u.window, v.window))
         yield f"orthogonality/{flavor}-pairs", not bad, bad[:3]
     for flavor in ("BC", "D"):
-        rep = inv.dual_basis_orthogonality(n, flavor)
+        rep = kernel.dual_basis_orthogonality(n, flavor)
         yield f"orthogonality/{flavor}-product-basis", rep["ok"], rep["failures"][:3]
 
 
 def _suite_invariance(bounds):
+    from . import kernel
+
     n = 2
     dmax = bounds.max_degree if bounds.max_degree is not None else 4
     for flavor in ("BC", "D"):
         for d in range(1, dmax + 1):
-            a, b = inv.invariant_basis_rank(n, d, flavor)
+            a, b = kernel.invariant_basis_rank(n, d, flavor)
             yield f"invariance/{flavor}-n{n}-d{d}", a == b, (a, b)
 
 
 def _suite_straightening(bounds):
+    from . import kernel
+
     ok = True
     detail = []
-    for lam in inv.strict_partitions_of(4) + inv.strict_partitions_of(5):
+    for lam in kernel.strict_partitions_of(4) + kernel.strict_partitions_of(5):
         for k in range(-3, 4):
             if lam and k >= lam[0]:
                 continue
-            if raising.schur_q((k,) + lam) != raising.hh_straighten(k, lam):
+            if kernel.schur_q((k,) + lam) != kernel.hh_straighten(k, lam):
                 ok = False
                 detail.append((k, lam))
     yield "straightening/vs-pfaffian", ok, detail[:3]
     n = 2
     for p, lam in [(3, ()), (3, (1,)), (4, (2,))]:
-        lhs = raising.schur_q((p,) + lam)
-        rhs = raising.decompose_qpla_value(p, lam, n)
+        lhs = kernel.schur_q((p,) + lam)
+        rhs = kernel.decompose_qpla_value(p, lam, n)
         yield f"straightening/qpla-{p}-{lam}", lhs == rhs, None
+
+
+def _odd_partitions(p: int, top: int):
+    """Partitions of p into odd parts <= top, in decreasing order."""
+    if p == 0:
+        yield ()
+        return
+    for a in range(min(p, top), 0, -1):
+        if a % 2:
+            for rest in _odd_partitions(p - a, a):
+                yield (a,) + rest
+
+
+def _q_in_power_sums(p: int) -> dict:
+    """q_p = sum over odd partitions lam of p of 2^len(lam) p_lam / z_lam."""
+    from fractions import Fraction
+    out = {}
+    for lam in _odd_partitions(p, p):
+        z = 1
+        for part in set(lam):
+            m = lam.count(part)
+            z *= part**m * factorial(m)
+        out[lam] = Fraction(2 ** len(lam), z)
+    return out
+
+
+def oracle_embed(f: GammaElement) -> dict:
+    """The image of f in the power-sum model (see oracle_raw_embed)."""
+    return oracle_raw_embed([(s, x, y, c) for (s, x, y), c in f.terms.items()])
+
+
+def oracle_raw_embed(raw_terms) -> dict:
+    """Embed a raw (un-normalized) list of (subscripts, x-exps, y-exps, coeff)
+    term by term: c_p -> q_p, x and y unchanged.
+
+    The image is {(lam, xk, yk): Fraction} with lam a decreasing tuple of odd
+    power-sum indices.  The model is faithful in every degree and applies no
+    relation, so it checks the rewriting independently.
+    """
+    from fractions import Fraction
+    out: dict = {}
+    for subs, xk, yk, coeff in raw_terms:
+        if any(p < 0 for p in subs):
+            continue
+        piece = {(): coeff.as_fraction() if isinstance(coeff, Dyadic) else Fraction(coeff)}
+        for p in subs:
+            if p == 0:
+                continue
+            q = _q_in_power_sums(p)
+            prod: dict = {}
+            for lam, a in piece.items():
+                for mu, b in q.items():
+                    k = tuple(sorted(lam + mu, reverse=True))
+                    prod[k] = prod.get(k, 0) + a * b
+            piece = prod
+        xk, yk = _trim(tuple(xk)), _trim(tuple(yk))
+        for lam, c in piece.items():
+            out[(lam, xk, yk)] = out.get((lam, xk, yk), 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def _suite_oracle(bounds):
@@ -257,6 +398,10 @@ class Bounds:
 def cmd_verify(args) -> int:
     bounds = Bounds(args.n, args.max_length, args.max_degree, args.seed)
     results = list(SUITES[args.suite](bounds))
+    if not results:
+        print(f"no check selected: suite {args.suite} has nothing to check within these bounds",
+              file=sys.stderr)
+        return 3
     results.sort(key=lambda r: r[0])
     failed = 0
     for check_id, ok, detail in results:

@@ -247,28 +247,6 @@ def is_increasing(w: SignedPermutation) -> bool:
     return all(win[i] < win[i + 1] for i in range(len(win) - 1))
 
 
-def strict_partition_element(lam: tuple[int, ...], flavor: str) -> SignedPermutation:
-    """The increasing element whose barred entries encode the strict partition.
-
-    Flavor BC: barred entries are exactly -lam_i.  Flavor D: barred entries
-    are -(lam_i + 1), together with -1 if needed to make their number even.
-    """
-    assert all(lam[i] > lam[i + 1] for i in range(len(lam) - 1)) and all(
-        p > 0 for p in lam
-    )
-    if flavor == "BC":
-        negs = [-p for p in lam]
-    else:
-        negs = [-(p + 1) for p in lam]
-        if len(negs) % 2 == 1:
-            negs.append(-1)
-    negs.sort()
-    used = {-a for a in negs}
-    m = max((max(used, default=0), len(negs)))
-    pos = [i for i in range(1, m + 1) if i not in used]
-    return SignedPermutation(tuple(negs + pos), flavor)
-
-
 # ---------------------------------------------------------------------------
 # Grassmannian elements and the partition correspondence
 # ---------------------------------------------------------------------------

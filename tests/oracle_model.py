@@ -1,7 +1,7 @@
 """Ring maps and divided differences of the power-sum oracle model.
 
 An element of the model is a dict {(lam, xk, yk): Fraction}, as returned by
-``gammaring.oracle_embed``: lam is a decreasing tuple of odd power-sum
+``verify.oracle_embed``: lam is a decreasing tuple of odd power-sum
 indices, and x and y are unchanged.  The model applies no relation, so
 these helpers share no code with the normal form, the Weyl action or the
 divided differences of ``schubring`` that the tests check against them.

@@ -8,19 +8,13 @@ import random
 
 import pytest
 
-from schubring.polyring import Dyadic, SparsePoly, elem_sym, supersym_e
+from schubring.polyring import Dyadic, SparsePoly, elem_sym
 from schubring.gammaring import (
     GammaElement,
     act_generator,
-    btilde,
     c_entry,
     c_hat_entry,
-    level_b,
-    level_b_prime,
     level_c,
-    level_c_double,
-    oracle_embed,
-    oracle_raw_embed,
 )
 from schubring.weyl import (
     SignedPermutation,
@@ -32,10 +26,13 @@ from schubring.weyl import (
     is_n_strict,
     shape,
 )
-from schubring import raising
-from schubring.raising import PfaffianSpec, hh_straighten, multi_schur_pfaffian, schur_q
+from schubring.raising import PfaffianSpec, multi_schur_pfaffian
 from schubring import schubert as sch
-from schubring import invariants as inv
+from schubring import kernel
+from schubring.kernel import hh_straighten, level_b, level_b_prime, level_c_double, schur_q
+from schubring.verify import oracle_embed, oracle_raw_embed, pfaffian_formula, verify_theta_alternant
+
+from paper_checks import supersym_e
 
 
 def from_b_raw(raw):
@@ -119,13 +116,13 @@ def test_criterion_04_pfaffian_formulas():
         counts[("C", n)] = 0
         for w in enumerate_group("W", 3):
             if is_grassmannian(w, n):
-                sch.pfaffian_formula(w, n, "BC", check=True)
+                pfaffian_formula(w, n, "BC", check=True)
                 counts[("C", n)] += 1
     for n in (0, 2):
         counts[("D", n)] = 0
         for w in enumerate_group("Wtilde", 3):
             if is_grassmannian(w, n):
-                sch.pfaffian_formula(w, n, "D", check=True)
+                pfaffian_formula(w, n, "D", check=True)
                 counts[("D", n)] += 1
     # the type D level-1 node is degenerate (excluded by the source's own
     # parabolic conventions); see the decisions ledger for the counterexample
@@ -136,14 +133,14 @@ def test_criterion_05_alternants():
     n = 2
     done = 0
     for lam in _n_strict_partitions(n, 4):
-        rep = sch.verify_theta_alternant(n, lam, "BC")
+        rep = verify_theta_alternant(n, lam, "BC")
         assert rep["divided_difference"], ("C-dd", lam)
         assert rep["alternant"], ("C-alt", lam)
         done += 1
     for w in enumerate_grassmannian(n, "D", 3):
         if 0 < w.length() <= 3:
             t = grassmannian_shape(w, n)
-            rep = sch.verify_theta_alternant(n, t, "D")
+            rep = verify_theta_alternant(n, t, "D")
             assert rep["divided_difference"], ("D-dd", t)
             assert rep["alternant"], ("D-alt", t)
             done += 1
@@ -153,26 +150,26 @@ def test_criterion_05_alternants():
 def test_criterion_06_kernel_span():
     for flavor in ("BC", "D"):
         for d in range(0, 6):
-            rep = inv.kernel_span_equality(2, d, flavor)
+            rep = kernel.kernel_span_equality(2, d, flavor)
             assert rep["equal"], (flavor, d, rep)
     for n in (1, 2):
         for p in (1, 2, 3):
             w = S((), "BC")
             for i in range(n, n + p):
                 w = w.right_mul_gen(i)
-            assert sch.schubert_restricted(w, n, "BC") == level_c_double(n, p), (n, p)
+            assert kernel.schubert_restricted(w, n, "BC") == level_c_double(n, p), (n, p)
     _report(6, "kernel graded pieces match Schubert spans (n=2, d<=5) and the explicit generators")
 
 
 def test_criterion_07_hilbert_series():
-    hs = inv.quotient_hilbert_series(2, "BC", 4)
+    hs = kernel.quotient_hilbert_series(2, "BC", 4)
     assert hs == [1, 2, 2, 2, 1]
-    hist = inv.weyl_length_histogram(2, "D")
-    assert inv.quotient_hilbert_series(2, "D", len(hist) - 1) == hist == [1, 2, 1]
-    hist3 = inv.weyl_length_histogram(3, "BC")
-    assert inv.quotient_hilbert_series(3, "BC", 6) == hist3[:7]
-    hist3d = inv.weyl_length_histogram(3, "D")
-    assert inv.quotient_hilbert_series(3, "D", 6) == hist3d[:7]
+    hist = kernel.weyl_length_histogram(2, "D")
+    assert kernel.quotient_hilbert_series(2, "D", len(hist) - 1) == hist == [1, 2, 1]
+    hist3 = kernel.weyl_length_histogram(3, "BC")
+    assert kernel.quotient_hilbert_series(3, "BC", 6) == hist3[:7]
+    hist3d = kernel.weyl_length_histogram(3, "D")
+    assert kernel.quotient_hilbert_series(3, "D", 6) == hist3d[:7]
     _report(7, "quotient Hilbert series equal Weyl length histograms (n=2 and n=3 to d=6)")
 
 
@@ -184,7 +181,7 @@ def test_criterion_08_orthogonality():
             for v in enumerate_group(kind, n):
                 if u.length() + v.length() != w0.length():
                     continue
-                val = sch.scalar_product(
+                val = kernel.scalar_product(
                     sch.schubert_poly(u, flavor, False),
                     sch.schubert_poly(v, flavor, False),
                     n,
@@ -192,7 +189,7 @@ def test_criterion_08_orthogonality():
                 )
                 want = GammaElement.const(1) if v == w0 * u else Z()
                 assert val == want, (flavor, u.window, v.window)
-        rep = inv.dual_basis_orthogonality(n, flavor)
+        rep = kernel.dual_basis_orthogonality(n, flavor)
         assert rep["ok"], (flavor, rep["failures"][:3])
     _report(8, "Schubert pairing delta-matrices and dual product bases at n=2")
 
@@ -200,7 +197,7 @@ def test_criterion_08_orthogonality():
 def test_criterion_09_invariance():
     for flavor in ("BC", "D"):
         for d in range(0, 6):
-            a, b = inv.invariant_basis_rank(2, d, flavor)
+            a, b = kernel.invariant_basis_rank(2, d, flavor)
             assert a == b, (flavor, d, a, b)
     for n in (1, 2, 3):
         for p in range(0, 5):
@@ -281,7 +278,7 @@ def test_criterion_11_straightening():
                 continue
             assert hh_straighten(k, lam) == schur_q((k,) + lam), (k, lam)
     for (p, lam, n) in [(3, (1,), 1), (4, (2,), 2), (3, (2, 1), 2), (4, (3, 1), 2)]:
-        assert raising.decompose_qpla_value(p, lam, n) == schur_q((p,) + lam), (p, lam, n)
+        assert kernel.decompose_qpla_value(p, lam, n) == schur_q((p,) + lam), (p, lam, n)
     # the staircase display at n = 2
     n = 2
     lhs = schur_q((3, 2, 1))
@@ -330,8 +327,8 @@ def test_criterion_12_operator_algebra():
         for w in enumerate_group(kind, n):
             a = rand_el(fam).set_y_zero().restrict_vars(n)
             b = rand_el(fam).set_y_zero().restrict_vars(n)
-            lhs = sch.scalar_product(sch.divided_difference_w(w, a), b, n, flavor)
-            rhs = sch.scalar_product(a, sch.divided_difference_w(w.inverse(), b), n, flavor)
+            lhs = kernel.scalar_product(sch.divided_difference_w(w, a), b, n, flavor)
+            rhs = kernel.scalar_product(a, sch.divided_difference_w(w.inverse(), b), n, flavor)
             assert lhs == rhs, (flavor, w.window)
     # the entry-family lemmas over their grids
     for k in range(-3, 4):

@@ -253,14 +253,14 @@ def test_method_both_exits_4_when_routes_disagree(route, monkeypatch, capsys):
     assert err == "internal mismatch: the two routes disagree at (2, -1)\n"
 
 
-def _run_python(*args):
+def _run_python(*args, text=True):
     """Run python with the package under test importable."""
     import schubring
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(schubring.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=text, env=env, timeout=120
     )
 
 
@@ -354,7 +354,7 @@ def test_expand_grassmannian_check_survives_optimize(lie_type, basis, tmp_path, 
 def test_pfaffian_formula_precondition_survives_optimize(check):
     # [1,3,2] is not 1-Grassmannian: a precondition error, not a value
     proc = _run_optimized("-c", (
-        "from schubring.schubert import pfaffian_formula\n"
+        "from schubring.verify import pfaffian_formula\n"
         "from schubring.weyl import SignedPermutation\n"
         "try:\n"
         f"    pfaffian_formula(SignedPermutation((1, 3, 2), 'BC'), 1, check={check})\n"
@@ -461,3 +461,116 @@ def test_lean_import():
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
                 assert "dataclass" not in fh.read(), name
+
+
+# Runs each argument (a request with its words joined by "|") through
+# cli.main in a fresh interpreter, then prints the schubring modules loaded
+# by the import alone, the exit codes and the modules loaded at the end.
+_LOADED_MODULES = """
+import json, sys
+import schubring.cli as cli
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "schubring")
+cold = loaded()
+codes = [cli.main(request.split("|")) for request in sys.argv[1:]]
+print(json.dumps([cold, codes, loaded()]), file=sys.stderr)
+"""
+
+
+def _loaded_modules(*requests):
+    proc = _run_python("-c", _LOADED_MODULES, *requests)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_cold_import_set():
+    # a cold request compiles these modules and nothing else; a compute
+    # request never loads the verify side
+    cold, codes, after = _loaded_modules(
+        "compute|--lie-type|D|--w|[-2,3,-1]|--double|--method|both",
+        "compute|--lie-type|B|--w|[2,-1]|--method|divdiff",
+        "compute|--theta|2|2,1|--double",
+        "compute|--eta|2|2,2|2",
+        "compute|--pfaffian|1,0|-1,0|3,1|--hatted",
+    )
+    names = ("_record", "polyring", "gammaring", "raising", "schubert", "invariants", "weyl",
+             "serialize", "cli")
+    assert cold == sorted(["schubring"] + [f"schubring.{name}" for name in names])
+    assert codes == [0] * 5
+    assert not {"schubring.verify", "schubring.kernel"} & set(after)
+    cold, codes, after = _loaded_modules("verify|--suite|shapes")
+    assert codes == [0]
+    assert "schubring.verify" in after and "schubring.kernel" not in after
+
+
+@pytest.mark.parametrize("args, size", [
+    # more than a pipe buffer holds
+    (("compute", "--lie-type", "C", "--w", "[3,-5,1,-4,2]", "--double"), 82089),
+    # less than the stdout buffer holds: only the flush before the exit writes it
+    (("compute", "--lie-type", "C", "--w", "[-1]"), 163),
+])
+def test_module_run_writes_its_whole_output(args, size, monkeypatch, capsys):
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    code, out, _ = run_cli(*args, capsys=capsys)
+    proc = _run_python("-m", "schubring.cli", *args, text=False)
+    assert (code, proc.returncode, proc.stderr) == (0, 0, b"")
+    assert proc.stdout == out.encode() and len(proc.stdout) == size
+
+
+@pytest.mark.parametrize("args, expected", [
+    (("compute", "--lie-type", "C", "--w", "[-1]"), 0),
+    (("compute", "--lie-type", "Z"), 2),
+    (("compute", "--w", "[what]"), 2),
+    (("compute", "--lie-type", "D", "--w", "[2,2]"), 3),
+    (("verify", "--suite", "braid", "--n", "-1"), 3),
+])
+def test_module_run_exit_codes(args, expected):
+    proc = _run_python("-m", "schubring.cli", *args)
+    assert proc.returncode == expected, proc.stderr
+
+
+def test_module_run_exit_code_of_a_route_disagreement():
+    # the module run as __main__, as by -m, with one route patched wrong
+    proc = _run_python("-c", (
+        "import runpy, sys\n"
+        "from schubring import schubert\n"
+        "schubert.schubert_divdiff = lambda w, flavor=None: schubert.GammaElement.const(1)\n"
+        "sys.argv[1:] = ['compute', '--lie-type', 'C', '--w', '[2,-1]', '--double', '--method', 'both']\n"
+        "runpy.run_module('schubring.cli', run_name='__main__')\n"
+    ))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("internal mismatch: the two routes disagree")
+
+
+def test_profiled_module_run_prints_its_stats():
+    # a profiler reports at exit, so a profiled run keeps the normal exit
+    proc = _run_python("-m", "cProfile", "-m", "schubring.cli", "compute", "--lie-type", "C",
+                       "--w", "[-1]")
+    assert proc.returncode == 0, proc.stderr
+    document, _, stats = proc.stdout.partition("\n")
+    assert json.loads(document)["terms"] == [["1", [1], [], []]]
+    assert "function calls" in stats and "Ordered by" in stats
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--suite", "kernel", "--n", "-1"),
+    ("verify", "--suite", "transitions-vs-divdiff", "--n", "-2"),
+    ("verify", "--suite", "braid", "--n", "-1"),
+    ("verify", "--suite", "kernel", "--max-degree", "-3"),
+    ("verify", "--suite", "transitions-vs-divdiff", "--max-length", "-1"),
+    ("expand", "--in", "no-such-file.json", "--basis", "theta", "--n", "-1"),
+])
+def test_negative_bounds_are_rejected_before_any_work(args, monkeypatch, capsys):
+    from schubring import verify
+
+    monkeypatch.setattr(verify, "cmd_verify", lambda args: pytest.fail("the suite ran"))
+    code, out, err = run_cli(*args, capsys=capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "must be nonnegative" in err
+
+
+@pytest.mark.parametrize("args", [("invariance", "--max-degree", "0"), ("kernel", "--max-degree", "0")])
+def test_verify_that_selects_no_check_exits_3(args, capsys):
+    code, out, err = run_cli("verify", "--suite", *args, capsys=capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "no check selected" in err

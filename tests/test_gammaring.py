@@ -4,19 +4,9 @@ from fractions import Fraction
 import pytest
 
 from schubring.polyring import Dyadic, SparsePoly, elem_sym
-from schubring.gammaring import (
-    GammaElement,
-    act_generator,
-    btilde,
-    c_entry,
-    level_b,
-    level_b_prime,
-    level_c,
-    level_c_double,
-    oracle_embed,
-    oracle_raw_embed,
-    weyl_act,
-)
+from schubring.gammaring import GammaElement, act_generator, c_entry, level_c
+from schubring.kernel import btilde, level_b, level_b_prime, level_c_double
+from schubring.verify import oracle_embed, oracle_raw_embed, weyl_act
 from schubring.weyl import SignedPermutation
 
 from oracle_model import oracle_index0, oracle_mul
@@ -139,7 +129,8 @@ def test_oracle_detects_corrupted_normal_form():
 
 def test_oracle_injective_on_graded_pieces():
     # images of the strict monomials of each weight <= 8 are independent
-    from schubring.invariants import exact_rank, strict_partitions_of
+    from schubring.invariants import exact_rank
+    from schubring.kernel import strict_partitions_of
 
     for d in range(1, 9):
         images = [
@@ -309,7 +300,7 @@ def test_generating_identity_double_generators():
 def test_convolution_identities():
     # the three convolution identities relating the double generators to
     # elementary symmetric and supersymmetric functions, to degree 6
-    from schubring.polyring import supersym_e
+    from paper_checks import supersym_e
 
     for n in (1, 2, 3):
         for p in range(0, 7):

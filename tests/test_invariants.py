@@ -4,39 +4,37 @@ from math import gcd, lcm
 
 import pytest
 
-from schubring import invariants
+from schubring import invariants, kernel
 from schubring.polyring import Dyadic, elem_sym
-from schubring.gammaring import (
-    GammaElement,
-    act_generator,
+from schubring.gammaring import GammaElement, act_generator, level_c
+from schubring.invariants import exact_rank, to_vector
+from schubring.kernel import (
     btilde,
-    level_b,
-    level_b_prime,
-    level_c,
-    level_c_double,
-)
-from schubring.invariants import (
-    check_invariance,
     dual_basis_orthogonality,
-    exact_rank,
-    free_module_certificate,
     generator_set,
     ideal_piece_vectors,
-    in_span,
     invariant_basis_rank,
     kernel_span_equality,
+    level_b,
+    level_b_prime,
+    level_c_double,
     monomial_basis,
-    parabolic_invariants,
     quotient_hilbert_series,
-    spans_equal,
-    strict_partitions_of,
-    supersym_congruence,
-    to_vector,
+    schubert_restricted,
     weyl_length_histogram,
 )
-from schubring.schubert import divided_difference, schubert_restricted
+from schubring.schubert import divided_difference
 from schubring.raising import theta
 from schubring.weyl import SignedPermutation, quotient_elements
+
+from paper_checks import (
+    check_invariance,
+    free_module_certificate,
+    in_span,
+    parabolic_invariants,
+    spans_equal,
+    supersym_congruence,
+)
 
 
 def test_exact_rank():
@@ -155,14 +153,14 @@ def test_kernel_span_equality_rank4(flavor):
 @pytest.mark.parametrize("dropped", [0, 1, 2])
 def test_kernel_span_equality_needs_every_generator(flavor, dropped, monkeypatch):
     # without one of its first generators the ideal is a proper part of the kernel
-    full = invariants.generator_set
+    full = kernel.generator_set
 
     def without_one(tag, n, max_degree):
         gens = full(tag, n, max_degree)
         els = gens.elements[:dropped] + gens.elements[dropped + 1:]
-        return invariants.GeneratorSet(gens.tag, gens.n, els)
+        return kernel.GeneratorSet(gens.tag, gens.n, els)
 
-    monkeypatch.setattr(invariants, "generator_set", without_one)
+    monkeypatch.setattr(kernel, "generator_set", without_one)
     assert not kernel_span_equality(2, 3, flavor)["equal"]
 
 
@@ -289,8 +287,8 @@ def _dense_invariant_ranks(n, d, flavor):
     mat = []
     for key in basis:
         m = GammaElement({key: Dyadic(1)})
-        mat.append([c for i in invariants.gen_indices(n, flavor) for c in to_vector(act_generator(i, m, flavor) - m, basis)])
-    thetas = [to_vector(t, basis) for t in invariants._theta_family(n, d, flavor)]
+        mat.append([c for i in kernel.gen_indices(n, flavor) for c in to_vector(act_generator(i, m, flavor) - m, basis)])
+    thetas = [to_vector(t, basis) for t in kernel._theta_family(n, d, flavor)]
     return len(basis) - _dense_rank(mat), _dense_rank(thetas)
 
 

@@ -5,9 +5,9 @@ from schubring.polyring import (
     SparsePoly,
     complete_sym,
     elem_sym,
-    supersym_e,
 )
 
+from paper_checks import supersym_e
 from truncated_series import TruncatedSeries
 
 

@@ -9,21 +9,24 @@ from schubring.raising import (
     RaisingExpression,
     c_family,
     c_hat_family,
-    decompose_qpla,
-    decompose_qpla_value,
     eta,
     expand,
-    hh_straighten,
     multi_schur_pfaffian,
+    rr_expression,
+    theta,
+)
+from schubring.kernel import (
+    decompose_qpla,
+    decompose_qpla_value,
+    hh_straighten,
     poly_entry_family,
     ptilde,
     qtilde,
-    qtilde_super,
-    rr_expression,
     schur_q,
-    theta,
 )
 from schubring.weyl import TypedPartition
+
+from paper_checks import qtilde_super
 
 g = GammaElement.generator
 
@@ -140,7 +143,7 @@ def test_theta_rejects_bad_shape():
 
 def test_double_generator_is_one_row_theta():
     # {}^n c^n_p is the restriction of the level n+p-1 one-row double theta
-    from schubring.gammaring import level_c_double
+    from schubring.kernel import level_c_double
 
     for n in (1, 2):
         for p in (1, 2, 3):
@@ -149,7 +152,7 @@ def test_double_generator_is_one_row_theta():
 
 
 def test_eta_trivial_and_single_rows():
-    from schubring.gammaring import level_b, level_b_prime
+    from schubring.kernel import level_b, level_b_prime
 
     assert eta(2, TypedPartition((), 2, 0)) == GammaElement.const(1)
     assert eta(2, TypedPartition((1,), 2, 0)) == level_b(2, 1)
@@ -249,7 +252,7 @@ def test_hatted_vanishing_random_instances():
 def test_supersymmetric_qtilde():
     # entries e-hat_a; the two-row value keeps the classical shape
     v = qtilde_super((1,), 2)
-    from schubring.polyring import supersym_e
+    from paper_checks import supersym_e
 
     assert v == GammaElement.from_poly(supersym_e(1, 2))
 

@@ -4,7 +4,7 @@ fields, and the hash is that of the field tuple."""
 
 import pytest
 
-from schubring.invariants import GeneratorSet
+from schubring.kernel import GeneratorSet
 from schubring.raising import PfaffianSpec, RaisingExpression, rr_expression
 from schubring.serialize import PolynomialDocument
 from schubring.weyl import SignedPermutation, TypedPartition, shape, transition_data

@@ -9,30 +9,30 @@ from schubring.gammaring import (
     c_entry,
     c_hat_entry,
     level_c,
-    weyl_act,
 )
 from schubring.weyl import SignedPermutation, enumerate_group, is_grassmannian
 from schubring.schubert import (
     _divide_by_x1,
     _divide_uv,
-    alternating_operator,
     divided_difference,
     divided_difference_w,
     divided_difference_word,
     longest_element,
-    pfaffian_formula,
-    scalar_product,
     schubert_b,
     schubert_expand_single,
     schubert_divdiff,
     schubert_poly,
-    schubert_restricted,
     schubert_transition,
-    staircase_monomial,
     theta_expand,
-    verify_theta_alternant,
 )
 from schubring.raising import eta, theta
+from schubring.kernel import scalar_product, schubert_restricted
+from schubring.verify import (
+    alternating_operator,
+    pfaffian_formula,
+    staircase_monomial,
+    verify_theta_alternant,
+)
 
 S = SignedPermutation
 g = GammaElement.generator
@@ -135,7 +135,7 @@ def test_transition_base_cases():
 
 def test_transition_d_terminal_values():
     # increasing-window values match the explicit one-row formulas
-    from schubring.weyl import strict_partition_element
+    from paper_checks import strict_partition_element
 
     for r in (1, 2, 3):
         w = strict_partition_element((r,), "D")
@@ -235,7 +235,7 @@ def test_divided_differences_match_oracle_descent(flavor):
     # Descend W_3 (W~_3) from the top anchor once per element, dividing in
     # the power-sum model; every value must be the transition route's, and
     # the ring's divided difference of the element above must agree.
-    from schubring.gammaring import oracle_embed
+    from schubring.verify import oracle_embed
     from schubring.schubert import _anchor
 
     from oracle_model import oracle_divided_difference

@@ -14,9 +14,10 @@ from schubring.weyl import (
     is_grassmannian,
     quotient_elements,
     shape,
-    strict_partition_element,
     transition_data,
 )
+
+from paper_checks import strict_partition_element
 
 S = SignedPermutation
 W_EXAMPLE = (-3, 2, -7, -1, 5, 4, -6)
