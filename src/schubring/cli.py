@@ -58,6 +58,10 @@ def cmd_compute(args) -> int:
         raise PreconditionError("--restrict must be nonnegative")
     if args.eta is not None and args.eta[0] < 1:
         raise PreconditionError(f"--eta needs a level n >= 1, not {args.eta[0]}")
+    if args.pfaffian is not None and (args.restrict is not None or args.double):
+        raise PreconditionError("--restrict and --double do not apply to --pfaffian")
+    if args.hatted and args.pfaffian is None:
+        raise PreconditionError("--hatted applies only to --pfaffian")
     if args.w is not None and args.lie_type == "A" and args.method == "both":
         raise PreconditionError("type A has only the divided-difference route; --method both checks nothing")
     # types B and D, eta polynomials and hatted Pfaffians are written in the b basis
@@ -136,8 +140,12 @@ def cmd_compute(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    with open(args.infile) as fh:
-        doc = parse_document(fh.read())
+    try:
+        with open(args.infile) as fh:
+            text = fh.read()
+    except OSError as e:
+        raise PreconditionError(f"cannot read --in {args.infile}: {e.strerror}")
+    doc = parse_document(text)
     f = document_to_gamma(doc)
     if f.max_yvar() and args.basis in ("schubert-single", "theta", "eta"):
         print("input has y variables; single bases need a y-free element", file=sys.stderr)

@@ -72,10 +72,6 @@ class Dyadic:
     def is_integer(self) -> bool:
         return self.exp == 0
 
-    def as_fraction(self) -> Fraction:
-        from fractions import Fraction  # imported where used: compute requests never need it
-        return Fraction(self.num, 1 << self.exp)
-
     def __str__(self) -> str:
         if self.exp == 0:
             return str(self.num)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 import sys
-from math import factorial
+from functools import lru_cache
+from math import factorial, gcd, lcm
 
 from .polyring import Dyadic, _trim
 from .gammaring import GammaElement, _gsum, act_generator
@@ -223,8 +224,8 @@ def _suite_hilbert(bounds):
     from . import kernel
 
     for flavor in ("BC", "D"):
-        for n in (2, min(bounds.n, 3)):
-            dmax = 4 if n == 2 else min(bounds.max_degree or 6, 6)
+        for n in sorted({2, min(bounds.n, 3)}):
+            dmax = 4 if n == 2 else min(6 if bounds.max_degree is None else bounds.max_degree, 6)
             hs = kernel.quotient_hilbert_series(n, flavor, dmax)
             hist = kernel.weyl_length_histogram(n, flavor)
             expect = [hist[d] if d < len(hist) else 0 for d in range(dmax + 1)]
@@ -300,52 +301,60 @@ def _odd_partitions(p: int, top: int):
                 yield (a,) + rest
 
 
+@lru_cache(maxsize=None)
 def _q_in_power_sums(p: int) -> dict:
-    """q_p = sum over odd partitions lam of p of 2^len(lam) p_lam / z_lam."""
-    from fractions import Fraction
+    """p! q_p = sum over odd partitions lam of p of 2^len(lam) (p!/z_lam) p_lam,
+    with integer coefficients (p!/z_lam is a conjugacy-class size)."""
     out = {}
     for lam in _odd_partitions(p, p):
         z = 1
         for part in set(lam):
             m = lam.count(part)
             z *= part**m * factorial(m)
-        out[lam] = Fraction(2 ** len(lam), z)
+        out[lam] = factorial(p) // z << len(lam)
     return out
 
 
-def oracle_embed(f: GammaElement) -> dict:
+def oracle_embed(f: GammaElement) -> tuple:
     """The image of f in the power-sum model (see oracle_raw_embed)."""
     return oracle_raw_embed([(s, x, y, c) for (s, x, y), c in f.terms.items()])
 
 
-def oracle_raw_embed(raw_terms) -> dict:
-    """Embed a raw (un-normalized) list of (subscripts, x-exps, y-exps, coeff)
-    term by term: c_p -> q_p, x and y unchanged.
+def oracle_raw_embed(raw_terms) -> tuple:
+    """Embed a raw (un-normalized) list of (subscripts, x-exps, y-exps, int or
+    Dyadic coeff) term by term: c_p -> q_p, x and y unchanged.
 
-    The image is {(lam, xk, yk): Fraction} with lam a decreasing tuple of odd
-    power-sum indices.  The model is faithful in every degree and applies no
-    relation, so it checks the rewriting independently.
+    The image is the pair ({(lam, xk, yk): int}, den) with lam a decreasing
+    tuple of odd power-sum indices, den > 0 and coprime to every numerator,
+    so equal images mean equal elements.  A term over 2^e with subscripts
+    p_1..p_k is exact in ints over 2^e p_1! ... p_k!, and the sum is kept
+    over the lcm of those.  The model is faithful in every degree and applies
+    no relation, so it checks the rewriting independently.
     """
-    from fractions import Fraction
     out: dict = {}
+    den = 1
     for subs, xk, yk, coeff in raw_terms:
         if any(p < 0 for p in subs):
             continue
-        piece = {(): coeff.as_fraction() if isinstance(coeff, Dyadic) else Fraction(coeff)}
-        for p in subs:
-            if p == 0:
-                continue
-            q = _q_in_power_sums(p)
+        num, d = (coeff.num, 1 << coeff.exp) if isinstance(coeff, Dyadic) else (coeff, 1)
+        piece = {(): num}
+        for p in filter(None, subs):
+            d *= factorial(p)
             prod: dict = {}
             for lam, a in piece.items():
-                for mu, b in q.items():
+                for mu, b in _q_in_power_sums(p).items():
                     k = tuple(sorted(lam + mu, reverse=True))
                     prod[k] = prod.get(k, 0) + a * b
             piece = prod
-        xk, yk = _trim(tuple(xk)), _trim(tuple(yk))
+        if den % d:
+            scale = lcm(den, d) // den
+            out, den = {k: n * scale for k, n in out.items()}, den * scale
+        scale, xk, yk = den // d, _trim(tuple(xk)), _trim(tuple(yk))
         for lam, c in piece.items():
-            out[(lam, xk, yk)] = out.get((lam, xk, yk), 0) + c
-    return {k: c for k, c in out.items() if c}
+            out[(lam, xk, yk)] = out.get((lam, xk, yk), 0) + c * scale
+    out = {k: n for k, n in out.items() if n}
+    g = gcd(den, *out.values())
+    return {k: n // g for k, n in out.items()}, den // g
 
 
 def _suite_oracle(bounds):

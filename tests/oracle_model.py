@@ -1,11 +1,15 @@
 """Ring maps and divided differences of the power-sum oracle model.
 
-An element of the model is a dict {(lam, xk, yk): Fraction}, as returned by
-``verify.oracle_embed``: lam is a decreasing tuple of odd power-sum
-indices, and x and y are unchanged.  The model applies no relation, so
-these helpers share no code with the normal form, the Weyl action or the
-divided differences of ``schubring`` that the tests check against them.
+An element of the model is a canonical pair ({(lam, xk, yk): int}, den), as
+returned by ``verify.oracle_embed``: lam is a decreasing tuple of odd
+power-sum indices, x and y are unchanged, and the element is the numerators
+over den, with den > 0 and coprime to every numerator, so equal pairs are
+equal elements.  The model applies no relation, so these helpers share no
+code with the normal form, the Weyl action or the divided differences of
+``schubring`` that the tests check against them.
 """
+
+from math import gcd
 
 
 def _vadd(u, v):
@@ -26,8 +30,15 @@ def _add(out, key, c):
         out.pop(key, None)
 
 
-def oracle_mul(a, b):
-    """Product in the oracle model Q[p_1, p_3, ...][x, y]."""
+def _canonical(nums, den):
+    """The pair of nums over den (> 0), reduced so that den is coprime to
+    every numerator."""
+    g = gcd(den, *nums.values())
+    return {k: c // g for k, c in nums.items()}, den // g
+
+
+def _mul(a, b):
+    """Product of two numerator dicts."""
     out = {}
     for (l1, x1, y1), c1 in a.items():
         for (l2, x2, y2), c2 in b.items():
@@ -36,12 +47,23 @@ def oracle_mul(a, b):
     return out
 
 
+def oracle_mul(a, b):
+    """Product in the oracle model Q[p_1, p_3, ...][x, y]: the numerators
+    multiply and so do the denominators."""
+    return _canonical(_mul(a[0], b[0]), a[1] * b[1])
+
+
 def oracle_index0(image, flavor):
     """The index-0 reflection as a ring map of the oracle model: s_0 is
     p_k -> p_k + x_1^k, x_1 -> -x_1; the branch node is
     p_k -> p_k + x_1^k + x_2^k, (x_1, x_2) -> (-x_2, -x_1)."""
+    return _canonical(_index0(image[0], flavor), image[1])
+
+
+def _index0(nums, flavor):
+    """oracle_index0 on a numerator dict."""
     out = {}
-    for (lam, xk, yk), c in image.items():
+    for (lam, xk, yk), c in nums.items():
         a = tuple(xk) + (0, 0)
         if flavor == "BC":
             piece = {((), xk, yk): c * (-1) ** a[0]}
@@ -54,16 +76,16 @@ def oracle_index0(image, flavor):
             pk = {((k,), (), ()): 1, ((), (k,), ()): 1}
             if flavor == "D":
                 pk[((), (0, k), ())] = 1
-            piece = oracle_mul(piece, pk)
+            piece = _mul(piece, pk)
         for key, v in piece.items():
             _add(out, key, v)
     return out
 
 
-def _swap(image, i):
+def _swap(nums, i):
     """x_i <-> x_{i+1}, a ring map that fixes every power sum."""
     out = {}
-    for (lam, xk, yk), c in image.items():
+    for (lam, xk, yk), c in nums.items():
         a = list(xk) + [0] * max(0, i + 1 - len(xk))
         a[i - 1], a[i] = a[i], a[i - 1]
         _add(out, (lam, _vadd(a, ()), yk), c)
@@ -91,16 +113,20 @@ def _divide_linear(g, i, t):
 
 def oracle_divided_difference(image, i, flavor):
     """(f - s_i f) divided by x_i - x_{i+1} (i >= 1), by -2 x_1 (index 0,
-    flavor BC) or by -(x_1 + x_2) (index 0, flavor D), in the model."""
-    moved = _swap(image, i) if i else oracle_index0(image, flavor)
-    g = dict(image)
+    flavor BC) or by -(x_1 + x_2) (index 0, flavor D), in the model; the
+    division by -2 doubles the denominator."""
+    nums, den = image
+    moved = _swap(nums, i) if i else _index0(nums, flavor)
+    g = dict(nums)
     for key, c in moved.items():
         _add(g, key, -c)
     if i:
-        return _divide_linear(g, i, 1)
+        q = _divide_linear(g, i, 1)
+        return None if q is None else _canonical(q, den)
     if flavor == "D":
         q = _divide_linear(g, 1, -1)
-        return None if q is None else {k: -c for k, c in q.items()}
+        return None if q is None else _canonical({k: -c for k, c in q.items()}, den)
     if any(not xk or xk[0] < 1 for _, xk, _ in g):
         return None
-    return {(lam, _vadd((xk[0] - 1,) + xk[1:], ()), yk): c / -2 for (lam, xk, yk), c in g.items()}
+    return _canonical({(lam, _vadd((xk[0] - 1,) + xk[1:], ()), yk): -c for (lam, xk, yk), c in g.items()},
+                      2 * den)

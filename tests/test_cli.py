@@ -151,6 +151,15 @@ def test_expand_rejects_non_document(text, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_expand_rejects_unreadable_input(name, tmp_path, capsys):
+    # a missing file or a directory is a precondition, not a failed verification
+    path = str(tmp_path / name)
+    code, out, err = run_cli("expand", "--in", path, "--basis", "theta", "--n", "1", capsys=capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and path in err
+
+
 def test_expand_rejects_y(tmp_path, capsys):
     f = GammaElement.monomial(yk=(1,))
     path = tmp_path / "y.json"
@@ -168,6 +177,39 @@ def test_verify_suite_shapes(capsys):
 def test_verify_suite_oracle(capsys):
     code, out, _ = run_cli("verify", "--suite", "oracle", capsys=capsys)
     assert code == 0
+
+
+def test_verify_suite_oracle_fails_on_a_corrupted_relation(monkeypatch, capsys):
+    # the p = 2 square relation with its sign flipped, so c_2^2 normalizes wrong
+    from schubring import gammaring
+
+    right = gammaring._square_relation
+    monkeypatch.setattr(gammaring, "_square_relation",
+                        lambda p: [(a, b, -c if p == 2 else c) for a, b, c in right(p)])
+    gammaring._strictify.cache_clear()
+    try:
+        code, out, _ = run_cli("verify", "--suite", "oracle", "--seed", "989", capsys=capsys)
+    finally:
+        gammaring._strictify.cache_clear()
+    assert code == 1
+    assert out.startswith("FAIL oracle/normalize-agrees  counterexample: ")
+    assert out.endswith("0/1 checks passed\n")
+
+
+def test_verify_hilbert_checks_each_level_once(monkeypatch, capsys):
+    from schubring import kernel
+
+    code, out, _ = run_cli("verify", "--suite", "hilbert", capsys=capsys)
+    assert code == 0
+    assert out.splitlines() == ["PASS hilbert/BC-n2", "PASS hilbert/D-n2", "2/2 checks passed"]
+    # --max-degree bounds the n = 3 series, 0 included
+    calls = []
+    series = kernel.quotient_hilbert_series
+    monkeypatch.setattr(kernel, "quotient_hilbert_series",
+                        lambda n, flavor, dmax: calls.append((n, flavor, dmax)) or series(n, flavor, dmax))
+    code, out, _ = run_cli("verify", "--suite", "hilbert", "--n", "3", "--max-degree", "0", capsys=capsys)
+    assert (code, out.splitlines()[-1]) == (0, "4/4 checks passed")
+    assert sorted(calls) == [(2, "BC", 4), (2, "D", 4), (3, "BC", 0), (3, "D", 0)]
 
 
 def test_verify_suite_kernel_honours_n(capsys):
@@ -405,6 +447,25 @@ def test_compute_rejects_negative_level_or_restrict(args, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
 
 
+@pytest.mark.parametrize("args", [
+    ("--pfaffian", "1,0", "-1,0", "3,1", "--restrict", "1"),
+    ("--pfaffian", "1,0", "-1,0", "3,1", "--double"),
+    ("--pfaffian", "1,0", "-1,0", "3,1", "--hatted", "--double"),
+    ("--lie-type", "C", "--w", "[2,-1]", "--hatted"),
+    ("--theta", "1", "2", "--hatted"),
+])
+def test_compute_rejects_flags_it_would_ignore(args, monkeypatch, capsys):
+    from schubring import raising, schubert
+
+    for module, name in ((raising, "multi_schur_pfaffian"), (raising, "theta"), (schubert, "schubert_poly")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("the computation ran"))
+    code, out, err = run_cli("compute", *args, capsys=capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and ("--hatted" in err or "--pfaffian" in err)
+    proc = _run_optimized("-m", "schubring.cli", "compute", *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+
 def test_compute_rejects_eta_level_zero(capsys):
     # the type of a D element is read from w(1), which means nothing at level 0
     args = ("--eta", "0", "1", "0")
@@ -464,13 +525,14 @@ def test_lean_import():
 
 
 # Runs each argument (a request with its words joined by "|") through
-# cli.main in a fresh interpreter, then prints the schubring modules loaded
-# by the import alone, the exit codes and the modules loaded at the end.
+# cli.main in a fresh interpreter, then prints the schubring, fractions and
+# decimal modules loaded by the import alone, the exit codes and those
+# loaded at the end.
 _LOADED_MODULES = """
 import json, sys
 import schubring.cli as cli
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "schubring")
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("schubring", "fractions", "decimal"))
 cold = loaded()
 codes = [cli.main(request.split("|")) for request in sys.argv[1:]]
 print(json.dumps([cold, codes, loaded()]), file=sys.stderr)
@@ -501,6 +563,12 @@ def test_cold_import_set():
     cold, codes, after = _loaded_modules("verify|--suite|shapes")
     assert codes == [0]
     assert "schubring.verify" in after and "schubring.kernel" not in after
+
+
+def test_oracle_suite_never_loads_fractions():
+    cold, codes, after = _loaded_modules("verify|--suite|oracle|--seed|989")
+    assert codes == [0]
+    assert "schubring.verify" in after and not {"fractions", "decimal"} & set(after)
 
 
 @pytest.mark.parametrize("args, size", [

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -65,18 +66,17 @@ def test_normalize_idempotent_and_confluent():
 
 
 def test_oracle_embedding_basics():
-    # c_1 -> q_1 = 2 p_1, c_3 -> q_3 = 4/3 p_1^3 + 2/3 p_3, b_p -> q_p / 2
-    assert oracle_embed(g(1)) == {((1,), (), ()): Fraction(2)}
-    assert oracle_embed(g(3)) == {
-        ((1, 1, 1), (), ()): Fraction(4, 3),
-        ((3,), (), ()): Fraction(2, 3),
-    }
-    assert oracle_embed(b(1)) == {((1,), (), ()): Fraction(1)}
+    # c_1 -> q_1 = 2 p_1, c_3 -> q_3 = (4 p_1^3 + 2 p_3) / 3, b_p -> q_p / 2
+    assert oracle_embed(g(1)) == ({((1,), (), ()): 2}, 1)
+    assert oracle_embed(g(3)) == ({((1, 1, 1), (), ()): 4, ((3,), (), ()): 2}, 3)
+    assert oracle_embed(b(1)) == ({((1,), (), ()): 1}, 1)
+    assert oracle_embed(b(3)) == ({((1, 1, 1), (), ()): 2, ((3,), (), ()): 1}, 3)
     # x and y pass through; the image of a product is the product of images
     xy = GammaElement.monomial(xk=(0, 2), yk=(1,))
-    assert oracle_embed(xy) == {((), (0, 2), (1,)): Fraction(1)}
+    assert oracle_embed(xy) == ({((), (0, 2), (1,)): 1}, 1)
     assert oracle_embed(g(1) * g(1) * xy) == oracle_raw_embed([([1, 1], (0, 2), (1,), 1)])
-    assert oracle_embed(g(1) * g(1)) == {((1, 1), (), ()): Fraction(4)}
+    assert oracle_embed(g(1) * g(1)) == ({((1, 1), (), ()): 4}, 1)
+    assert oracle_embed(GammaElement.zero()) == ({}, 1)
 
 
 def test_oracle_relations_vanish():
@@ -85,13 +85,13 @@ def test_oracle_relations_vanish():
         rel = [([p, p], (), (), 1)]
         for i in range(1, p + 1):
             rel.append(([p + i, p - i], (), (), 2 * (-1) ** i))
-        assert oracle_raw_embed(rel) == {}, p
+        assert oracle_raw_embed(rel) == ({}, 1), p
         # the b-relation b_p^2 + 2 sum_{i<p} (-1)^i b_{p+i} b_{p-i} + (-1)^p b_{2p}
         rel = [([p, p], (), (), 1)]
         for i in range(1, p):
             rel.append(([p + i, p - i], (), (), 2 * (-1) ** i))
         rel.append(([2 * p], (), (), (-1) ** p))
-        assert oracle_raw_embed(from_b_raw(rel)) == {}, p
+        assert oracle_raw_embed(from_b_raw(rel)) == ({}, 1), p
 
 
 def test_oracle_matches_normalization():
@@ -107,6 +107,69 @@ def test_oracle_matches_normalization():
     for _ in range(20):
         f, h = rand_element("b", rng), rand_element("b", rng) * Dyadic(3, 2)
         assert oracle_embed(f * h) == oracle_mul(oracle_embed(f), oracle_embed(h))
+
+
+def _q_fraction(p, memo={0: {(): Fraction(1)}}):
+    """Reference q_p in odd power sums with Fraction coefficients, from the
+    generating function sum q_p t^p = exp(2 sum_{k odd} p_k t^k / k): by
+    its derivative, p q_p = 2 sum_{k odd <= p} p_k q_{p-k}."""
+    if p not in memo:
+        out = {}
+        for k in range(1, p + 1, 2):
+            for lam, c in _q_fraction(p - k).items():
+                key = tuple(sorted(lam + (k,), reverse=True))
+                out[key] = out.get(key, 0) + c * Fraction(2, p)
+        memo[p] = {lam: c for lam, c in out.items() if c}
+    return memo[p]
+
+
+def _fraction_image(raw):
+    """Reference image of a raw term list with Fraction coefficients, as
+    the pair (numerators over the lcm of the denominators, that lcm)."""
+    out = {}
+    for subs, xk, yk, coeff in raw:
+        if any(p < 0 for p in subs):
+            continue
+        c = Fraction(coeff.num, 1 << coeff.exp) if isinstance(coeff, Dyadic) else Fraction(coeff)
+        piece = {(): c}
+        for p in subs:
+            prod = {}
+            for lam, a in piece.items():
+                for mu, q in _q_fraction(p).items():
+                    key = tuple(sorted(lam + mu, reverse=True))
+                    prod[key] = prod.get(key, 0) + a * q
+            piece = prod
+        xk, yk = tuple(xk), tuple(yk)
+        while xk and not xk[-1]:
+            xk = xk[:-1]
+        while yk and not yk[-1]:
+            yk = yk[:-1]
+        for lam, a in piece.items():
+            out[(lam, xk, yk)] = out.get((lam, xk, yk), 0) + a
+    out = {k: a for k, a in out.items() if a}
+    den = math.lcm(*(a.denominator for a in out.values()))
+    return {k: int(a * den) for k, a in out.items()}, den
+
+
+def test_oracle_images_match_fraction_reference():
+    rng = random.Random("int-images")
+    coeffs = [0, 1, -1, 3, -4, Dyadic(1, 1), Dyadic(-3, 2), Dyadic(5, 3), Dyadic(2, 1)]
+    for _ in range(300):
+        raw = []
+        for _ in range(rng.randint(1, 5)):
+            subs = [rng.randint(-1, 5) for _ in range(rng.randint(0, 3))]
+            xk = tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 2)))
+            yk = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 2)))
+            raw.append((subs, xk, yk, rng.choice(coeffs)))
+        nums, den = oracle_raw_embed(raw)
+        assert (nums, den) == _fraction_image(raw), raw
+        assert den > 0 and math.gcd(den, *nums.values()) == 1 and all(nums.values())
+        assert oracle_embed(GammaElement.from_raw(raw)) == (nums, den), raw
+    # one element written two ways gives one pair
+    twice = [([3, 1], (1,), (), Dyadic(1, 1)), ([1, 0, 3], (1, 0), (0,), Dyadic(1, 1))]
+    assert oracle_raw_embed(twice) == oracle_raw_embed([([1, 3], (1,), (), 1)])
+    assert oracle_raw_embed([([2], (), (), Dyadic(2, 1))]) == oracle_raw_embed([([2, 0], (), (), 1)])
+    assert oracle_raw_embed([([5], (2,), (), 3), ([5, -2], (), (), 1), ([5], (2,), (), -3)]) == ({}, 1)
 
 
 def test_oracle_detects_corrupted_normal_form():
@@ -137,8 +200,8 @@ def test_oracle_injective_on_graded_pieces():
             oracle_embed(GammaElement({(lam, (), ()): Dyadic(1)}))
             for lam in strict_partitions_of(d)
         ]
-        keys = sorted(set().union(*images))
-        rows = [[img.get(k, Fraction(0)) for k in keys] for img in images]
+        keys = sorted(set().union(*(nums for nums, _ in images)))
+        rows = [[Fraction(nums.get(k, 0), den) for k in keys] for nums, den in images]
         assert exact_rank(rows) == len(images), d
 
 
