@@ -142,10 +142,9 @@ def cmd_compute(args) -> int:
 def cmd_expand(args) -> int:
     try:
         with open(args.infile) as fh:
-            text = fh.read()
+            doc = parse_document(fh.read())
     except OSError as e:
         raise PreconditionError(f"cannot read --in {args.infile}: {e.strerror}")
-    doc = parse_document(text)
     f = document_to_gamma(doc)
     if f.max_yvar() and args.basis in ("schubert-single", "theta", "eta"):
         print("input has y variables; single bases need a y-free element", file=sys.stderr)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .polyring import Dyadic, _trim
 from .gammaring import GammaElement, _gsum, act_generator
@@ -307,11 +308,21 @@ def _q_in_power_sums(p: int) -> dict:
     with integer coefficients (p!/z_lam is a conjugacy-class size)."""
     out = {}
     for lam in _odd_partitions(p, p):
-        z = 1
-        for part in set(lam):
-            m = lam.count(part)
-            z *= part**m * factorial(m)
+        z = prod(part**m * factorial(m) for part, m in Counter(lam).items())
         out[lam] = factorial(p) // z << len(lam)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _q_product(subs: tuple) -> dict:
+    """The product of p! q_p over a tuple of positive subscripts."""
+    if not subs:
+        return {(): 1}
+    out: dict = {}
+    for lam, a in _q_product(subs[:-1]).items():
+        for mu, b in _q_in_power_sums(subs[-1]).items():
+            k = tuple(sorted(lam + mu, reverse=True))
+            out[k] = out.get(k, 0) + a * b
     return out
 
 
@@ -324,37 +335,28 @@ def oracle_raw_embed(raw_terms) -> tuple:
     """Embed a raw (un-normalized) list of (subscripts, x-exps, y-exps, int or
     Dyadic coeff) term by term: c_p -> q_p, x and y unchanged.
 
-    The image is the pair ({(lam, xk, yk): int}, den) with lam a decreasing
-    tuple of odd power-sum indices, den > 0 and coprime to every numerator,
-    so equal images mean equal elements.  A term over 2^e with subscripts
-    p_1..p_k is exact in ints over 2^e p_1! ... p_k!, and the sum is kept
-    over the lcm of those.  The model is faithful in every degree and applies
-    no relation, so it checks the rewriting independently.
+    The image is the pair ({(lam, xk, yk): int}, den), lam a decreasing tuple
+    of odd power-sum indices and den > 0 coprime to every numerator, so equal
+    images mean equal elements.  A term n / 2^e with subscripts p_1..p_k has
+    int numerators over 2^e p_1! ... p_k!; the sum is kept over their lcm.
+    The model is faithful in every degree and applies no relation, so it
+    checks the rewriting independently.
     """
-    out: dict = {}
-    den = 1
+    out, den = {}, 1
     for subs, xk, yk, coeff in raw_terms:
         if any(p < 0 for p in subs):
             continue
-        num, d = (coeff.num, 1 << coeff.exp) if isinstance(coeff, Dyadic) else (coeff, 1)
-        piece = {(): num}
-        for p in filter(None, subs):
-            d *= factorial(p)
-            prod: dict = {}
-            for lam, a in piece.items():
-                for mu, b in _q_in_power_sums(p).items():
-                    k = tuple(sorted(lam + mu, reverse=True))
-                    prod[k] = prod.get(k, 0) + a * b
-            piece = prod
+        num, e = (coeff.num, coeff.exp) if isinstance(coeff, Dyadic) else (coeff, 0)
+        subs = tuple(sorted(filter(None, subs)))
+        d = prod(map(factorial, subs), start=1 << e)
         if den % d:
             scale = lcm(den, d) // den
             out, den = {k: n * scale for k, n in out.items()}, den * scale
-        scale, xk, yk = den // d, _trim(tuple(xk)), _trim(tuple(yk))
-        for lam, c in piece.items():
+        scale, xk, yk = den // d * num, _trim(tuple(xk)), _trim(tuple(yk))
+        for lam, c in _q_product(subs).items():
             out[(lam, xk, yk)] = out.get((lam, xk, yk), 0) + c * scale
-    out = {k: n for k, n in out.items() if n}
     g = gcd(den, *out.values())
-    return {k: n // g for k, n in out.items()}, den // g
+    return {k: n // g for k, n in out.items() if n}, den // g
 
 
 def _suite_oracle(bounds):
