@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -109,18 +110,19 @@ def test_oracle_matches_normalization():
         assert oracle_embed(f * h) == oracle_mul(oracle_embed(f), oracle_embed(h))
 
 
-def _q_fraction(p, memo={0: {(): Fraction(1)}}):
+@functools.lru_cache(maxsize=None)
+def _q_fraction(p):
     """Reference q_p in odd power sums with Fraction coefficients, from the
     generating function sum q_p t^p = exp(2 sum_{k odd} p_k t^k / k): by
     its derivative, p q_p = 2 sum_{k odd <= p} p_k q_{p-k}."""
-    if p not in memo:
-        out = {}
-        for k in range(1, p + 1, 2):
-            for lam, c in _q_fraction(p - k).items():
-                key = tuple(sorted(lam + (k,), reverse=True))
-                out[key] = out.get(key, 0) + c * Fraction(2, p)
-        memo[p] = {lam: c for lam, c in out.items() if c}
-    return memo[p]
+    if p == 0:
+        return {(): Fraction(1)}
+    out = {}
+    for k in range(1, p + 1, 2):
+        for lam, c in _q_fraction(p - k).items():
+            key = tuple(sorted(lam + (k,), reverse=True))
+            out[key] = out.get(key, 0) + c * Fraction(2, p)
+    return {lam: c for lam, c in out.items() if c}
 
 
 def _fraction_image(raw):
